@@ -45,7 +45,8 @@ def entanglement_fidelity(U, V) -> float:
     if U.shape != V.shape:
         raise ValueError(f"dimension mismatch: {U.shape} vs {V.shape}")
     d = U.shape[0]
-    return float(abs(np.trace(U.conj().T @ V)) ** 2 / d**2)
+    # Tr[U^dag V] is the elementwise inner product; no matrix product needed
+    return float(abs(np.vdot(U, V)) ** 2 / d**2)
 
 
 def average_from_entanglement(f_e: float, n: int) -> float:

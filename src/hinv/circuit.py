@@ -5,8 +5,9 @@ Two execution pipelines are provided and must agree:
 - :func:`unitary_of` / :func:`run_density` evolve states exactly, applying
   realized gate unitaries and attached stochastic channels (as Pauli
   transfer matrices) to a density matrix;
-- :func:`run_ptm` converts every step to a PTM and composes, which is how
-  long circuits with pre-characterized gates are simulated cheaply.
+- :func:`run_ptm` converts every step to a PTM and applies it to the
+  state's Pauli vector, which is how long circuits with pre-characterized
+  gates are simulated cheaply.
 
 The plain-text serialization is line oriented, one gate per line:
 
@@ -33,6 +34,7 @@ from .gates import IDEAL, INVERSE, STANDARD, Gate, NoiseModel
 
 HIDDEN_INVERSE = "hidden"
 
+# largest 2**n for which unitary_of builds the dense 2**n x 2**n state
 MAX_DENSE_DIM = 1024
 
 
@@ -111,13 +113,13 @@ def ideal_parity_unitary(n: int, theta: float) -> np.ndarray:
 
 
 def unitary_of(c: Circuit, nm: NoiseModel = IDEAL) -> np.ndarray:
-    """Ordered product of the realized gates, embedded on the full register."""
+    """Ordered product of the realized gates on the full register."""
     dim = 2**c.n
     if dim > MAX_DENSE_DIM:
         raise ValueError(f"dense dimension {dim} exceeds {MAX_DENSE_DIM}")
     U = np.eye(dim, dtype=complex)
     for g in c.gates:
-        U = qmat.embed(gates.realize(g, nm), g.qubits, c.n) @ U
+        U = qmat.apply(gates.realize(g, nm), g.qubits, U, c.n)
     return U
 
 
@@ -128,37 +130,49 @@ def run_density(c: Circuit, nm: NoiseModel = IDEAL, channel_map=None) -> np.ndar
     gate (how stochastic channels are attached to gates).  Raises
     ``ValueError`` on non-CPTP channels or dimension mismatch.
     """
+    return _run(c, nm, channel_map, pauli=False)
+
+
+def run_ptm(c: Circuit, nm: NoiseModel = IDEAL, channel_map=None) -> np.ndarray:
+    """Same output as :func:`run_density`, with every step applied as a PTM."""
+    return _run(c, nm, channel_map, pauli=True)
+
+
+def _run(c: Circuit, nm: NoiseModel, channel_map, pauli: bool) -> np.ndarray:
+    """The stepper behind :func:`run_density` and :func:`run_ptm`.
+
+    Both states are vectors on a 2n-bit register.  The density matrix is
+    flattened row-major: bits 0..n-1 index its rows and bits n..2n-1 its
+    columns, so a gate U acts as U on the row bits and conj(U) on the
+    column bits.  The Pauli vector ``Tr[P_i rho]`` is in lexicographic
+    order, so qubit q's Pauli digit is bits (2q, 2q+1) and a gate acts as
+    the PTM of its local unitary on those bits.
+    """
     channel_map = _checked_channels(c, channel_map)
-    dim = 2**c.n
+    n, dim = c.n, 2**c.n
     rho = np.zeros((dim, dim), dtype=complex)
     rho[0, 0] = 1.0
+    state = channels.pauli_vector(rho, n) if pauli else rho.reshape(-1)
     for i, g in enumerate(c.gates):
-        U = qmat.embed(gates.realize(g, nm), g.qubits, c.n)
-        rho = U @ rho @ U.conj().T
+        U = gates.realize(g, nm)
+        if pauli:
+            bits = tuple(b for q in g.qubits for b in (2 * q, 2 * q + 1))
+            state = qmat.apply(channels.ptm_of_unitary(U).mat, bits, state, 2 * n)
+        else:
+            state = qmat.apply(U, g.qubits, state, 2 * n)
+            state = qmat.apply(U.conj(), tuple(n + q for q in g.qubits), state, 2 * n)
         if i in channel_map:
-            rho = channels.apply_ptm(channel_map[i], rho)
+            R = channel_map[i]
+            if pauli:
+                state = R.mat @ state
+            else:
+                state = channels.apply_ptm(R, state.reshape(dim, dim)).reshape(-1)
+    rho = channels.matrix_from_pauli_vector(state, n) if pauli else state.reshape(dim, dim)
     probs = np.real(np.diag(rho)).copy()
     total = probs.sum()
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"probability normalization drifted to {total}")
     return probs
-
-
-def run_ptm(c: Circuit, nm: NoiseModel = IDEAL, channel_map=None) -> np.ndarray:
-    """Same output as :func:`run_density`, via PTM composition throughout."""
-    channel_map = _checked_channels(c, channel_map)
-    R = channels.identity_ptm(c.n)
-    for i, g in enumerate(c.gates):
-        U = qmat.embed(gates.realize(g, nm), g.qubits, c.n)
-        R = channels.compose_ptms([R, channels.ptm_of_unitary(U)])
-        if i in channel_map:
-            R = channels.compose_ptms([R, channel_map[i]])
-    dim = 2**c.n
-    rho0 = np.zeros((dim, dim), dtype=complex)
-    rho0[0, 0] = 1.0
-    vec = R.mat @ channels.pauli_vector(rho0, c.n)
-    rho = channels.matrix_from_pauli_vector(vec, c.n)
-    return np.real(np.diag(rho)).copy()
 
 
 def channels_after_two_qubit(c: Circuit, ptm) -> dict:

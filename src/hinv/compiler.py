@@ -78,9 +78,13 @@ def _has_noncommuting_witness(c: Circuit, left: int, right: int) -> bool:
         union = sorted(set(g.qubits) | set(cn.qubits))
         k = len(union)
         pos = {q: p for p, q in enumerate(union)}
-        A = qmat.embed(gates.realize(cn), tuple(pos[q] for q in cn.qubits), k)
-        B = qmat.embed(gates.realize(g), tuple(pos[q] for q in g.qubits), k)
-        if np.abs(A @ B - B @ A).max() > 1e-9:
+
+        def on(h, M):
+            U = gates.realize(h, gates.IDEAL)
+            return qmat.apply(U, tuple(pos[q] for q in h.qubits), M, k)
+
+        eye = np.eye(2**k, dtype=complex)
+        if np.abs(on(cn, on(g, eye)) - on(g, on(cn, eye))).max() > 1e-9:
             return True
     return False
 

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -210,12 +211,20 @@ def _negated(g: Gate) -> Gate:
     raise ValueError(f"cannot negate gate kind {g.kind!r}")
 
 
+@lru_cache(maxsize=4096)
 def realize(g: Gate, nm: NoiseModel = IDEAL) -> np.ndarray:
     """The unitary actually implemented for ``g`` under the noise model.
 
     Returned on the gate's local qubits (2x2 or 4x4); composites are the
-    ordered product of their realized native gates.
+    ordered product of their realized native gates.  Memoized on
+    ``(g, nm)``, so the result is shared between callers and read-only.
     """
+    U = _realized(g, nm)
+    U.flags.writeable = False
+    return U
+
+
+def _realized(g: Gate, nm: NoiseModel) -> np.ndarray:
     k = g.kind
     if k == "rot1q":
         theta, phi = g.params
@@ -242,7 +251,7 @@ def realize(g: Gate, nm: NoiseModel = IDEAL) -> np.ndarray:
 def _product(seq: list[Gate], n: int, nm: NoiseModel) -> np.ndarray:
     U = np.eye(2**n, dtype=complex)
     for g in seq:
-        U = qmat.embed(realize(g, nm), g.qubits, n) @ U
+        U = qmat.apply(realize(g, nm), g.qubits, U, n)
     return U
 
 

@@ -4,6 +4,9 @@ Conventions used throughout the package:
 
 - States live on qubit registers; operators are ``2**n x 2**n`` complex
   ndarrays (dtype complex128).
+- Gates are applied locally: :func:`apply` contracts a ``2**k x 2**k``
+  operator onto k axes of a register, so a full ``2**n x 2**n`` operator
+  is never built (:func:`embed` builds one for callers that need it).
 - ``herm_exp(H, s)`` returns ``exp(-i*s*H)`` for Hermitian ``H`` via
   eigendecomposition, so the result is unitary up to floating error.
 - The n-qubit Pauli basis is ordered lexicographically with I < X < Y < Z
@@ -12,8 +15,9 @@ Conventions used throughout the package:
 - "Equal up to global phase" means ``|Tr[A^dag B]| / dim`` is 1 within
   tolerance.
 
-All returned basis matrices are flagged read-only; everything here is
-stateless and safe to share across parallel workers.
+The single-qubit constants and all returned basis matrices are flagged
+read-only; everything here is stateless and safe to share across parallel
+workers.
 """
 
 from __future__ import annotations
@@ -29,6 +33,8 @@ Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 PAULI_1Q = {"I": I2, "X": X, "Y": Y, "Z": Z}
+for _P in PAULI_1Q.values():
+    _P.flags.writeable = False
 
 MAX_PAULI_QUBITS = 5
 
@@ -124,26 +130,36 @@ def equal_up_to_phase(A, B, tol: float = 1e-10) -> bool:
     return abs(1.0 - phase_overlap(A, B)) < tol
 
 
+def apply(op, qubits, M, n: int) -> np.ndarray:
+    """``embed(op, qubits, n) @ M`` without building the full operator.
+
+    ``op`` is ``2**k x 2**k`` with ``k = len(qubits)``; ``M`` has ``2**n``
+    rows (a vector or a ``2**n x m`` array) and is not modified.  The
+    contraction touches only the ``qubits`` axes of the rows, so it costs
+    O(2**k * size(M)) instead of O(4**n * size(M)).  Qubit 0 is the most
+    significant bit of the row index.
+    """
+    qubits = tuple(qubits)
+    k = len(qubits)
+    op = np.asarray(op)
+    M = np.asarray(M)
+    if op.shape != (2**k, 2**k):
+        raise ValueError(f"operator shape {op.shape} does not match {k} qubit(s)")
+    if len(set(qubits)) != k or any(q < 0 or q >= n for q in qubits):
+        raise ValueError(f"bad qubit indices {qubits} for n={n}")
+    if M.ndim not in (1, 2) or M.shape[0] != 2**n:
+        raise ValueError(f"array shape {M.shape} does not have {2**n} rows")
+    T = M.reshape((2,) * n + (-1,))
+    out = np.tensordot(op.reshape((2,) * (2 * k)), T, axes=(range(k, 2 * k), qubits))
+    # the operator's output axes come first; move them back onto ``qubits``
+    return np.moveaxis(out, range(k), qubits).reshape(M.shape)
+
+
 def embed(U, qubits, n: int) -> np.ndarray:
     """Embed an operator acting on ``qubits`` into the full n-qubit space.
 
     ``U`` must be ``2**k x 2**k`` where ``k = len(qubits)``; qubit 0 is the
-    most significant bit of the computational-basis index.
+    most significant bit of the computational-basis index.  Always returns
+    a new array.
     """
-    qubits = tuple(qubits)
-    k = len(qubits)
-    U = np.asarray(U, dtype=complex)
-    if U.shape != (2**k, 2**k):
-        raise ValueError(f"operator shape {U.shape} does not match {k} qubit(s)")
-    if len(set(qubits)) != k or any(q < 0 or q >= n for q in qubits):
-        raise ValueError(f"bad qubit indices {qubits} for n={n}")
-    if k == n and qubits == tuple(range(n)):
-        return U
-    rest = [q for q in range(n) if q not in qubits]
-    M = kron([U] + [I2] * (n - k))
-    # tensor axes currently ordered [qubits..., rest...]; permute to natural order
-    order = list(qubits) + rest
-    inv = np.argsort(order)
-    T = M.reshape((2,) * (2 * n))
-    perm = list(inv) + [n + i for i in inv]
-    return np.ascontiguousarray(T.transpose(perm).reshape(2**n, 2**n))
+    return apply(np.asarray(U, dtype=complex), qubits, np.eye(2**n, dtype=complex), n)

@@ -140,7 +140,6 @@ def test_criterion_3_cnot_generator_model():
 
 def _sweep_avg_fidelities(n, nm):
     fh, fs = [], []
-    ideal_cache = {}
     for theta in np.linspace(-np.pi, np.pi, 41):
         ideal = circuit.ideal_parity_unitary(n, theta)
         ch = circuit.parity_controlled_z(n, theta, hidden_orientations(n))

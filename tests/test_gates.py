@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from hinv import gates, qmat
-from hinv.gates import INVERSE, STANDARD, NoiseModel
+from hinv import circuit, compiler, gates, qmat
+from hinv.gates import INVERSE, STANDARD, Gate, NoiseModel
 
 from conftest import CNOT4, SX, SY, SZ, expi, kron_chain, phase_overlap
 
@@ -144,6 +144,40 @@ def test_pauli_frame_gates_exact():
     (g,) = gates.pauli(0, "X")
     assert np.array_equal(gates.realize(g, nm), SX)
     assert gates.pauli(0, "I") == []
+
+
+def test_realized_arrays_are_read_only():
+    # realize is memoized, so every caller shares the returned array; the
+    # frame Paulis are the qmat constants that also build the Pauli basis
+    nm = NoiseModel(eps_2q=0.02)
+    for g in (Gate("pauli_x", (0,)), gates.cnot(0, 1), gates.xx(0, 1, 0.3)):
+        U = gates.realize(g, nm)
+        with pytest.raises(ValueError):
+            U *= 2.0
+        with pytest.raises(ValueError):
+            U[0, 0] = 0.0
+    assert np.array_equal(qmat.X, SX)
+    assert np.array_equal(qmat.pauli_basis(1)[1], SX)
+
+
+def test_realize_memo_runs_one_eigh_per_distinct_driven_pulse(monkeypatch):
+    calls = []
+    herm_exp = qmat.herm_exp
+
+    def counting_herm_exp(H, s):
+        calls.append(1)
+        return herm_exp(H, s)
+
+    monkeypatch.setattr(qmat, "herm_exp", counting_herm_exp)
+    gates.realize.cache_clear()
+    nm = NoiseModel(eps_2q=0.02, eps_1q=0.002)
+    base = circuit.parity_controlled_z(2, 0.4)
+    for seed in range(100):
+        circuit.unitary_of(compiler.randomized_compile(base, seed), nm)
+    driven = {h for h in gates.cnot_sequence(STANDARD) if h.kind in ("rot1q", "xx")}
+    assert len(driven) == 5
+    assert len(calls) == len(driven)
+    assert gates.realize.cache_info().hits > 0
 
 
 def test_amplitude_to_angle_mapping():

@@ -118,6 +118,61 @@ def test_embed_matches_permutation_oracle(rng):
     assert np.abs(got - want).max() < 1e-13
 
 
+def test_embed_returns_a_new_array_at_full_width(rng):
+    U = random_unitary(rng, 4)
+    got = qmat.embed(U, (0, 1), 2)
+    assert got is not U and not np.shares_memory(got, U)
+    assert np.abs(got - U).max() < 1e-15
+
+
+# --- apply ---------------------------------------------------------------------
+
+def _qubit_tuples(rng, n):
+    """Random k=1..3 qubit tuples, plus reversed and non-adjacent fixed ones."""
+    out = [tuple(int(q) for q in rng.choice(n, size=k, replace=False))
+           for k in range(1, min(n, 3) + 1) for _ in range(3)]
+    out += [t for t in [(n - 1, 0), (3, 0), (2, 0, 4)] if len(set(t)) == len(t) and max(t) < n]
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_apply_matches_embedded_product(rng, n):
+    from conftest import embed_on
+    for qubits in _qubit_tuples(rng, n):
+        op = random_unitary(rng, 2 ** len(qubits)) + 0.3 * random_hermitian(rng, 2 ** len(qubits))
+        for m in (1, 2**n):
+            M = rng.standard_normal((2**n, m)) + 1j * rng.standard_normal((2**n, m))
+            M_before = M.copy()
+            got = qmat.apply(op, qubits, M, n)
+            want = embed_on(op, qubits, n) @ M
+            assert got.shape == M.shape
+            assert np.abs(got - want).max() < 1e-12, (n, qubits, m)
+            assert np.array_equal(M, M_before)
+
+
+def test_apply_accepts_a_vector_and_real_operands(rng):
+    from conftest import embed_on
+    op = rng.standard_normal((4, 4))
+    v = rng.standard_normal(8)
+    got = qmat.apply(op, (2, 0), v, 3)
+    assert got.shape == (8,) and got.dtype == float
+    assert np.abs(got - embed_on(op, (2, 0), 3).real @ v).max() < 1e-12
+
+
+def test_apply_checks_shapes_and_indices():
+    M = np.eye(8, dtype=complex)
+    with pytest.raises(ValueError):
+        qmat.apply(np.eye(4), (0,), M, 3)          # operator does not match 1 qubit
+    with pytest.raises(ValueError):
+        qmat.apply(np.eye(4), (1, 1), M, 3)        # repeated qubit
+    with pytest.raises(ValueError):
+        qmat.apply(np.eye(2), (3,), M, 3)          # qubit out of range
+    with pytest.raises(ValueError):
+        qmat.apply(np.eye(2), (-1,), M, 3)
+    with pytest.raises(ValueError):
+        qmat.apply(np.eye(2), (0,), np.eye(4), 3)  # rows do not match n
+
+
 def test_equal_up_to_phase(rng):
     U = random_unitary(rng, 4)
     assert qmat.equal_up_to_phase(U, np.exp(0.7j) * U)
