@@ -22,8 +22,6 @@ Orientation convention: ``"plus"`` is the hidden-inverse configuration,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 import numpy as np
 
 PLUS = "plus"
@@ -130,33 +128,3 @@ def cnot_hamiltonian_fe(theta: float, eps: float, n: int, orientation: str) -> f
                    + s * math.cos(theta) * math.sin(w * eps / 2) ** 2)
         tr += math.comb(n - 1, w) * np.exp(-0.5j * (n - 1 - w) * eps * (-1 + s)) * B
     return float(abs(tr) ** 2 / 4**n)
-
-
-def binomial_phase_identity(n: int, eps: float) -> tuple[complex, complex]:
-    """Both sides of ``sum_w C(n-1,w) e^{-i w eps} = e^{-i(n-1)eps/2} [2 cos(eps/2)]^(n-1)``."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    lhs = sum(math.comb(n - 1, w) * np.exp(-1j * w * eps) for w in range(n))
-    rhs = np.exp(-0.5j * (n - 1) * eps) * (2 * math.cos(eps / 2)) ** (n - 1)
-    return complex(lhs), complex(rhs)
-
-
-@dataclass(frozen=True)
-class FidelityPoint:
-    theta: float
-    eps: float
-    n: int
-    orientation: str
-    f_entanglement: float
-    f_average: float
-
-    def __post_init__(self):
-        _sign(self.orientation)
-        expected = average_from_entanglement(self.f_entanglement, self.n)
-        if abs(self.f_average - expected) > 1e-14:
-            raise ValueError("f_average inconsistent with f_entanglement")
-
-    @classmethod
-    def from_entanglement(cls, theta, eps, n, orientation, f_e) -> "FidelityPoint":
-        return cls(theta, eps, n, orientation, f_e,
-                   average_from_entanglement(f_e, n))

@@ -60,7 +60,7 @@ def ptm_of_unitary(U) -> PTM:
         raise ValueError(f"dimension {dim} is not a power of two")
     if not qmat.is_unitary(U, 1e-10):
         raise ValueError("ptm_of_unitary requires a unitary matrix")
-    P = qmat.pauli_basis_stack(n)
+    P = qmat.pauli_basis(n)
     conj = np.einsum("ab,jbc,dc->jad", U, P, U.conj(), optimize=True)
     R = np.real(np.einsum("iab,jba->ij", P, conj, optimize=True)) / dim
     return PTM(n, R)
@@ -103,7 +103,7 @@ def avg_fidelity_from_ptm(R: PTM, R_ideal: PTM) -> float:
 
 def choi_matrix(R: PTM) -> np.ndarray:
     """Trace-normalized Choi matrix of the channel."""
-    P = qmat.pauli_basis_stack(R.n)
+    P = qmat.pauli_basis(R.n)
     PT = P.transpose(0, 2, 1)
     C = np.einsum("ij,iab,jcd->acbd", R.mat, P, PT, optimize=True)
     d2 = (2**R.n) ** 2
@@ -128,14 +128,14 @@ def is_cptp(R: PTM, cp_tol: float = CP_EIG_TOL, tp_tol: float = TP_TOL) -> bool:
 
 def pauli_vector(rho, n: int) -> np.ndarray:
     """Coefficients ``Tr[P_i rho]`` (real for Hermitian rho)."""
-    P = qmat.pauli_basis_stack(n)
+    P = qmat.pauli_basis(n)
     return np.real(np.einsum("iab,ba->i", P, np.asarray(rho, dtype=complex),
                              optimize=True))
 
 
 def matrix_from_pauli_vector(vec, n: int) -> np.ndarray:
     """Inverse of :func:`pauli_vector`: ``rho = sum_i vec_i P_i / 2**n``."""
-    P = qmat.pauli_basis_stack(n)
+    P = qmat.pauli_basis(n)
     return np.einsum("i,iab->ab", np.asarray(vec, dtype=float), P,
                      optimize=True) / 2**n
 

@@ -183,16 +183,19 @@ def channels_after_two_qubit(c: Circuit, ptm) -> dict:
 def _checked_channels(c: Circuit, channel_map) -> dict:
     if not channel_map:
         return {}
-    out = {}
+    # one CPTP check per distinct PTM object: PTM.mat is read-only, and
+    # channels_after_two_qubit attaches the same object at every gate
+    cptp = {}
     for i, R in channel_map.items():
         if not (0 <= i < len(c.gates)):
             raise ValueError(f"channel index {i} out of range")
         if R.n != c.n:
             raise ValueError(f"channel on {R.n} qubits attached to {c.n}-qubit circuit")
-        if not channels.is_cptp(R):
+        if id(R) not in cptp:
+            cptp[id(R)] = channels.is_cptp(R)
+        if not cptp[id(R)]:
             raise ValueError(f"channel at gate {i} is not CPTP")
-        out[i] = R
-    return out
+    return dict(channel_map)
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +218,19 @@ class CircuitParseError(ValueError):
         self.lineno = lineno
 
 
+# line keyword -> accepted argument counts
+_ARITY = {"qubits": (1,), "rot1q": (3,), "virtual_z": (2,), "xx": (3, 5),
+          "hadamard": (1,), "cnot": (2, 3), "pauli_x": (1,), "pauli_y": (1,),
+          "pauli_z": (1,)}
+
+
+def _finite(tok: str) -> float:
+    x = float(tok)
+    if not math.isfinite(x):
+        raise ValueError("angle must be finite")
+    return x
+
+
 def from_text(text: str) -> Circuit:
     n = None
     gs = []
@@ -225,25 +241,29 @@ def from_text(text: str) -> Circuit:
         tok = line.split()
         kind, args = tok[0], tok[1:]
         try:
+            if kind not in _ARITY:
+                raise ValueError(f"unknown gate kind {kind!r}")
+            if len(args) not in _ARITY[kind]:
+                counts = " or ".join(str(k) for k in _ARITY[kind])
+                raise ValueError(f"{kind} takes {counts} argument(s), got {len(args)}")
             if kind == "qubits":
+                if n is not None:
+                    raise ValueError("second 'qubits' header")
                 n = int(args[0])
             elif kind == "rot1q":
-                gs.append(gates.rot1q(int(args[0]), float(args[1]), float(args[2])))
+                gs.append(gates.rot1q(int(args[0]), _finite(args[1]), _finite(args[2])))
             elif kind == "virtual_z":
-                gs.append(gates.virtual_z(int(args[0]), float(args[1])))
+                gs.append(gates.virtual_z(int(args[0]), _finite(args[1])))
             elif kind == "xx":
-                phases = [float(a) for a in args[3:5]] if len(args) > 3 else [0.0, 0.0]
-                gs.append(gates.xx(int(args[0]), int(args[1]), float(args[2]), *phases))
+                gs.append(gates.xx(int(args[0]), int(args[1]),
+                                   *(_finite(a) for a in args[2:])))
             elif kind == "hadamard":
                 gs.append(gates.hadamard(int(args[0])))
             elif kind == "cnot":
-                orientation = args[2] if len(args) > 2 else STANDARD
-                gs.append(gates.cnot(int(args[0]), int(args[1]), orientation))
-            elif kind in ("pauli_x", "pauli_y", "pauli_z"):
-                gs.append(Gate(kind, (int(args[0]),)))
+                gs.append(gates.cnot(int(args[0]), int(args[1]), *args[2:]))
             else:
-                raise ValueError(f"unknown gate kind {kind!r}")
-        except (IndexError, ValueError) as exc:
+                gs.append(Gate(kind, (int(args[0]),)))
+        except ValueError as exc:
             raise CircuitParseError(lineno, str(exc)) from exc
     if n is None:
         raise CircuitParseError(0, "missing 'qubits <n>' header")

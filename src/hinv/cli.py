@@ -6,13 +6,15 @@ Subcommands::
     hinv compile <in.circ> <out.circ> --pass hidden|rc|sk1 [--seed N] [--threshold RAD]
     hinv ptm <lindblad-spec.json> <out.csv> [--steps-per-period N]
 
-Sweeps emit deterministic CSV: a seed-stamped header comment echoing the
-full effective config, one row per grid point, 12 significant digits.
-Grid points can be dispatched to a process pool sized by the
-``HINV_WORKERS`` environment variable (default 1); output order is
+A sweep config names an experiment of :data:`SCHEMAS`, the one table of
+its keys and their defaults.  Sweeps emit deterministic CSV: a header
+comment echoing the effective config, one row per grid point, 12
+significant digits.  Grid points can be dispatched to a process pool sized
+by the ``HINV_WORKERS`` environment variable (default 1); output order is
 independent of the worker count.
 
-Exit codes: 0 success, 2 config error, 3 numeric failure.
+Exit codes: 0 success, 2 config error (a bad input file, or anything raised
+while building an experiment's inputs), 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -23,30 +25,91 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 
 import numpy as np
 
 from . import analytics, channels, circuit, compiler, gates, lindblad
-from .gates import NoiseModel
 
 
 class ConfigError(ValueError):
     pass
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return f"{float(x):.12g}"
+# ---------------------------------------------------------------------------
+# config schema: experiment -> config keys and their defaults
+
+_GRID = {"theta_min": -math.pi, "theta_max": math.pi, "theta_points": 41}
+# rc_compare takes the keys of its ``noise`` kind
+_NOISE = {
+    "detuning": {"delta_detune": 0.01},
+    "overrotation": {"eps_2q": 0.02, "eps_1q": 0.002},
+    "phase": {"phi_diff_deg": 3.5},
+}
+SCHEMAS = {
+    "overrotation_sweep": {**_GRID, "n_list": [2, 4, 6], **_NOISE["overrotation"]},
+    "phase_sweep": {**_GRID, "n_list": [2, 4, 6], **_NOISE["phase"]},
+    "rc_compare": {**_GRID, "noise": "detuning", "n": 2, "seeds": 100, "seed": 2024},
+    "repeated_2q": {**_GRID, "eps_2q_amplitude": 0.0225, "phi_diff_deg": 0.0, "reps": 5},
+    "contrast_4q": {**_GRID, "eps_2q_amplitude": 0.05, "phi_diff_deg": -8.0,
+                    "p_depol": 0.87},
+    "sk1_viability": {"eps_amplitude_list": [0.005, 0.01, 0.02],
+                      "gamma_list": [20.0, 60.0, 200.0, 600.0, 2000.0],
+                      "delta": 2 * math.pi * 200e3, "steps_per_period": 150},
+}
+
+# noise key -> NoiseModel field and the conversion from config units (the
+# fitted two-qubit overrotation is an amplitude error, quadratic in the angle)
+_NOISE_FIELDS = {
+    "eps_2q": ("eps_2q", float),
+    "eps_2q_amplitude": ("eps_2q", gates.amplitude_to_angle_overrotation),
+    "eps_1q": ("eps_1q", float),
+    "phi_diff_deg": ("phi_diff", math.radians),
+    "delta_detune": ("delta_detune", float),
+}
+
+_MAX_WIDTH = int(math.log2(circuit.MAX_DENSE_DIM))
+_KINDS = {str: "a string", int: "an integer", float: "a finite number",
+          list: "a non-empty list"}
 
 
-def _theta_grid(cfg) -> np.ndarray:
-    lo = cfg.get("theta_min", -math.pi)
-    hi = cfg.get("theta_max", math.pi)
-    pts = int(cfg.get("theta_points", 41))
-    if pts < 1 or lo < -math.pi - 1e-12 or hi > math.pi + 1e-12 or lo > hi:
-        raise ConfigError(f"bad theta grid: [{lo}, {hi}] x {pts}")
-    return np.linspace(lo, hi, pts)
+def _checked(key, value, default):
+    """``value`` if it has the type of ``default``; an int passes for a float."""
+    if isinstance(default, list):
+        if isinstance(value, list) and value:
+            return [_checked(f"{key} entries", v, default[0]) for v in value]
+    elif type(value) is type(default) or (type(value), type(default)) == (int, float):
+        if not isinstance(value, float) or math.isfinite(value):
+            return value
+    raise ConfigError(f"{key} must be {_KINDS[type(default)]}, got {value!r}")
+
+
+def effective_config(cfg) -> dict:
+    """``cfg`` checked against its experiment's schema, with every default filled in."""
+    if not isinstance(cfg, dict):
+        raise ConfigError("config must be a JSON object")
+    name = cfg.get("experiment")
+    if not isinstance(name, str) or name not in SCHEMAS:
+        raise ConfigError(f"unknown experiment {name!r}; choose from {sorted(SCHEMAS)} "
+                          "(for a pulse-level PTM use 'hinv ptm <spec.json> <out.csv>')")
+    table = {"experiment": name, "output": "", **SCHEMAS[name]}
+    if "noise" in table:
+        kind = _checked("noise", cfg.get("noise", table["noise"]), "")
+        if kind not in _NOISE:
+            raise ConfigError(f"unknown noise kind {kind!r}; choose from {sorted(_NOISE)}")
+        table.update(_NOISE[kind])
+    unknown = sorted(set(cfg) - set(table))
+    if unknown:
+        raise ConfigError(f"unknown key(s) {unknown} for experiment {name!r}")
+    out = {k: v for k, v in table.items() if k != "output"}
+    out.update((k, _checked(k, v, table[k])) for k, v in cfg.items())
+    return out
+
+
+def _noise_from_cfg(cfg) -> gates.NoiseModel:
+    """The coherent-error model set by the noise keys of an effective config."""
+    return gates.NoiseModel(**{field: conv(cfg[key])
+                               for key, (field, conv) in _NOISE_FIELDS.items() if key in cfg})
 
 
 def _pmap(fn, items):
@@ -58,78 +121,42 @@ def _pmap(fn, items):
 
 
 # ---------------------------------------------------------------------------
-# experiments
+# point functions (module level, so a process pool can run them)
 
-def _avg_fidelity_point(args):
-    n, theta, nm = args
+def _parity_point(args):
+    """Hidden-inverse and standard ladders, plus the RC mean when ``seeds``."""
+    n, theta, nm, seeds, seed0 = args
     ideal = circuit.ideal_parity_unitary(n, theta)
-    row = [n, theta]
-    for config in (circuit.HIDDEN_INVERSE, gates.STANDARD):
-        orientations = [gates.STANDARD] * (n - 1)
-        closing = gates.INVERSE if config == circuit.HIDDEN_INVERSE else gates.STANDARD
-        orientations += [closing] * (n - 1)
-        c = circuit.parity_controlled_z(n, theta, orientations)
+
+    def favg(c):
         fe = analytics.entanglement_fidelity(ideal, circuit.unitary_of(c, nm))
-        row.append(analytics.average_from_entanglement(fe, n))
-    return row
+        return analytics.average_from_entanglement(fe, n)
+
+    standard = circuit.parity_controlled_z(n, theta)
+    hidden = circuit.parity_controlled_z(
+        n, theta, [gates.STANDARD] * (n - 1) + [gates.INVERSE] * (n - 1))
+    row = [theta, favg(hidden), favg(standard)]
+    if not seeds:  # a width sweep: rows are keyed by (n, theta)
+        return [n] + row
+    rc = sum(favg(compiler.randomized_compile(standard, seed0 + s)) for s in range(seeds))
+    return row + [rc / seeds]
 
 
-def run_overrotation_sweep(cfg):
-    nm = NoiseModel(eps_2q=cfg.get("eps_2q", 0.02), eps_1q=cfg.get("eps_1q", 0.002))
-    grid = _theta_grid(cfg)
-    n_list = cfg.get("n_list", [2, 4, 6])
-    tasks = [(int(n), float(t), nm) for n in n_list for t in grid]
-    return ["n", "theta", "f_hidden", "f_standard"], _pmap(_avg_fidelity_point, tasks)
-
-
-def run_phase_sweep(cfg):
-    nm = NoiseModel(phi_diff=math.radians(cfg.get("phi_diff_deg", 3.5)))
-    grid = _theta_grid(cfg)
-    n_list = cfg.get("n_list", [2, 4, 6])
-    tasks = [(int(n), float(t), nm) for n in n_list for t in grid]
-    return ["n", "theta", "f_hidden", "f_standard"], _pmap(_avg_fidelity_point, tasks)
-
-
-def _final_state_fidelity(c, nm):
-    psi_ideal = circuit.unitary_of(c)[:, 0]
-    psi_noisy = circuit.unitary_of(c, nm)[:, 0]
-    return float(abs(np.vdot(psi_ideal, psi_noisy)) ** 2)
-
-
-def run_repeated_2q(cfg):
-    # the fitted two-qubit overrotation is an amplitude error; the gate
-    # angle picks it up quadratically
-    eps_amp = cfg.get("eps_2q_amplitude", 0.0225)
-    nm = NoiseModel(eps_2q=gates.amplitude_to_angle_overrotation(eps_amp),
-                    phi_diff=math.radians(cfg.get("phi_diff_deg", 0.0)))
-    reps = int(cfg.get("reps", 5))
-    rows = []
-    for theta in _theta_grid(cfg):
-        row = [theta]
-        for config in (circuit.HIDDEN_INVERSE, gates.STANDARD):
-            c = circuit.repeated_block_circuit(2, float(theta), reps, config)
-            row.append(_final_state_fidelity(c, nm))
-        rows.append(row)
-    return ["theta", "f_hidden", "f_standard"], rows
-
-
-def run_contrast_4q(cfg):
-    eps_amp = cfg.get("eps_2q_amplitude", 0.05)
-    nm = NoiseModel(eps_2q=gates.amplitude_to_angle_overrotation(eps_amp),
-                    phi_diff=math.radians(cfg.get("phi_diff_deg", -8.0)))
-    p = cfg.get("p_depol", 0.87)
-    depol = channels.depolarizing_ptm(4, p)
-    rows = []
-    for theta in _theta_grid(cfg):
-        row = [theta]
-        for config in (circuit.HIDDEN_INVERSE, gates.STANDARD):
-            c = circuit.repeated_block_circuit(4, float(theta), 1, config)
+def _block_point(args):
+    """Final-state fidelity of each block configuration, or with ``depol``
+    after every two-qubit gate, its all-0/all-1/other populations."""
+    n, theta, reps, nm, depol = args
+    row = [theta]
+    for config in (circuit.HIDDEN_INVERSE, gates.STANDARD):
+        c = circuit.repeated_block_circuit(n, theta, reps, config)
+        if depol is None:
+            psi_ideal = circuit.unitary_of(c)[:, 0]
+            psi_noisy = circuit.unitary_of(c, nm)[:, 0]
+            row.append(float(abs(np.vdot(psi_ideal, psi_noisy)) ** 2))
+        else:
             probs = circuit.run_density(c, nm, circuit.channels_after_two_qubit(c, depol))
             row += [probs[0], probs[-1], 1.0 - probs[0] - probs[-1]]
-        rows.append(row)
-    return ["theta",
-            "p0000_hidden", "p1111_hidden", "pother_hidden",
-            "p0000_standard", "p1111_standard", "pother_standard"], rows
+    return row
 
 
 def _sk1_viability_point(args):
@@ -145,83 +172,79 @@ def _sk1_viability_point(args):
     return [eps_amp, gamma, f_raw, f_sk1, f_sk1 - f_raw]
 
 
-def run_sk1_viability(cfg):
-    eps_list = cfg.get("eps_amplitude_list", [0.005, 0.01, 0.02])
-    gamma_list = cfg.get("gamma_list", [20.0, 60.0, 200.0, 600.0, 2000.0])
-    delta = cfg.get("delta", 2 * math.pi * 200e3)
-    steps = int(cfg.get("steps_per_period", 150))
-    tasks = [(float(e), float(g), float(delta), steps)
-             for e in eps_list for g in gamma_list]
-    return (["eps_amplitude", "gamma_heat", "f_raw", "f_sk1", "improvement"],
-            _pmap(_sk1_viability_point, tasks))
+@contextmanager
+def _config_stage(what: str):
+    """Report anything raised inside as a config error (exit 2)."""
+    try:
+        yield
+    except Exception as exc:
+        raise ConfigError(f"{what}: {exc}") from exc
 
 
-def _noise_from_cfg(cfg) -> NoiseModel:
-    kind = cfg.get("noise", "detuning")
-    if kind == "detuning":
-        return NoiseModel(delta_detune=cfg.get("delta_detune", 0.01))
-    if kind == "overrotation":
-        return NoiseModel(eps_2q=cfg.get("eps_2q", 0.02), eps_1q=cfg.get("eps_1q", 0.002))
-    if kind == "phase":
-        return NoiseModel(phi_diff=math.radians(cfg.get("phi_diff_deg", 3.5)))
-    raise ConfigError(f"unknown noise kind {kind!r}")
+def build_sweep(cfg: dict):
+    """Header, point function and tasks of an effective config.
+
+    Every fixed input is built here, so any failure is a :class:`ConfigError`.
+    """
+    name = cfg["experiment"]
+    with _config_stage(f"bad {name} config"):
+        if name == "sk1_viability":
+            if not (cfg["delta"] > 0 and cfg["steps_per_period"] >= 1
+                    and min(cfg["gamma_list"]) >= 0):
+                raise ConfigError("need delta > 0, steps_per_period >= 1, gamma >= 0")
+            tasks = [(float(e), float(g), float(cfg["delta"]), cfg["steps_per_period"])
+                     for e in cfg["eps_amplitude_list"] for g in cfg["gamma_list"]]
+            return (["eps_amplitude", "gamma_heat", "f_raw", "f_sk1", "improvement"],
+                    _sk1_viability_point, tasks)
+        lo, hi, pts = cfg["theta_min"], cfg["theta_max"], cfg["theta_points"]
+        if pts < 1 or lo < -math.pi - 1e-12 or hi > math.pi + 1e-12 or lo > hi:
+            raise ConfigError(f"bad theta grid: [{lo}, {hi}] x {pts}")
+        grid = [float(t) for t in np.linspace(lo, hi, pts)]
+        nm = _noise_from_cfg(cfg)
+        if name == "rc_compare":
+            n, seeds, seed = cfg["n"], cfg["seeds"], cfg["seed"]
+            if not (2 <= n <= _MAX_WIDTH and seeds >= 1 and seed >= 0):
+                raise ConfigError(f"need n in [2, {_MAX_WIDTH}], seeds >= 1, seed >= 0")
+            return (["theta", "f_hidden", "f_standard", "f_rc_mean"], _parity_point,
+                    [(n, t, nm, seeds, seed) for t in grid])
+        if name == "repeated_2q":
+            if cfg["reps"] < 1:
+                raise ConfigError("reps must be >= 1")
+            return (["theta", "f_hidden", "f_standard"], _block_point,
+                    [(2, t, cfg["reps"], nm, None) for t in grid])
+        if name == "contrast_4q":
+            depol = channels.depolarizing_ptm(4, cfg["p_depol"])
+            return (["theta", "p0000_hidden", "p1111_hidden", "pother_hidden",
+                     "p0000_standard", "p1111_standard", "pother_standard"],
+                    _block_point, [(4, t, 1, nm, depol) for t in grid])
+        if not all(2 <= n <= _MAX_WIDTH for n in cfg["n_list"]):
+            raise ConfigError(f"n_list entries must be in [2, {_MAX_WIDTH}]")
+        return (["n", "theta", "f_hidden", "f_standard"], _parity_point,
+                [(n, t, nm, 0, 0) for n in cfg["n_list"] for t in grid])
 
 
-def _rc_point(args):
-    n, theta, nm, seeds, seed0 = args
-    ideal = circuit.ideal_parity_unitary(n, theta)
-
-    def favg(c):
-        fe = analytics.entanglement_fidelity(ideal, circuit.unitary_of(c, nm))
-        return analytics.average_from_entanglement(fe, n)
-
-    base = circuit.parity_controlled_z(n, theta)
-    hidden = circuit.parity_controlled_z(
-        n, theta, [gates.STANDARD] * (n - 1) + [gates.INVERSE] * (n - 1))
-    acc = 0.0
-    for s in range(seeds):
-        acc += favg(compiler.randomized_compile(base, seed0 + s))
-    return [theta, favg(hidden), favg(base), acc / seeds]
+def _fmt(x) -> str:
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    return f"{float(x):.12g}"
 
 
-def run_rc_compare(cfg):
-    nm = _noise_from_cfg(cfg)
-    n = int(cfg.get("n", 2))
-    seeds = int(cfg.get("seeds", 100))
-    seed0 = int(cfg.get("seed", 2024))
-    tasks = [(n, float(t), nm, seeds, seed0) for t in _theta_grid(cfg)]
-    return ["theta", "f_hidden", "f_standard", "f_rc_mean"], _pmap(_rc_point, tasks)
-
-
-EXPERIMENTS = {
-    "overrotation_sweep": run_overrotation_sweep,
-    "phase_sweep": run_phase_sweep,
-    "repeated_2q": run_repeated_2q,
-    "contrast_4q": run_contrast_4q,
-    "sk1_viability": run_sk1_viability,
-    "rc_compare": run_rc_compare,
-}
-
-
-def run_sweep(cfg: dict, out_path) -> None:
-    name = cfg.get("experiment")
-    if name == "ptm_extract":
-        spec = lindblad.spec_from_dict(cfg.get("lindblad", {"calibrate": {}}))
-        R = lindblad.ms_gate_channel(spec, int(cfg.get("steps_per_period",
-                                                       lindblad.DEFAULT_STEPS_PER_PERIOD)))
-        channels.write_csv(R, out_path)
-        return
-    if name not in EXPERIMENTS:
-        raise ConfigError(f"unknown experiment {name!r}; "
-                          f"choose from {sorted(EXPERIMENTS) + ['ptm_extract']}")
-    header, rows = EXPERIMENTS[name](cfg)
+def run_sweep(cfg, out_path=None) -> None:
+    """Validate ``cfg``, compute its points and write the CSV."""
+    cfg = effective_config(cfg)
+    out_path = out_path or cfg.get("output")
+    if not out_path:
+        raise ConfigError("no output path (use -o or config key 'output')")
+    header, point, tasks = build_sweep(cfg)
+    rows = _pmap(point, tasks)
     for row in rows:
         for col, x in zip(header, row):
             if col.startswith(("f_", "p")) and not (-1e-9 <= float(x) <= 1 + 1e-9):
                 raise ValueError(f"emitted fidelity/probability {x} out of [0, 1]")
+    echo = {k: v for k, v in cfg.items() if k != "output"}
     with open(out_path, "w") as fh:
-        fh.write(f"# hinv sweep experiment={name}\n")
-        fh.write(f"# config: {json.dumps(cfg, sort_keys=True)}\n")
+        fh.write(f"# hinv sweep experiment={cfg['experiment']}\n")
+        fh.write(f"# config: {json.dumps(echo, sort_keys=True)}\n")
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(x) for x in row) + "\n")
@@ -231,7 +254,8 @@ def run_sweep(cfg: dict, out_path) -> None:
 # compile pass driver
 
 def run_compile(in_path, out_path, pass_name, seed, threshold) -> None:
-    c = circuit.read_file(in_path)
+    with _config_stage(f"cannot read circuit {in_path}"):
+        c = circuit.read_file(in_path)
     if pass_name == "hidden":
         sites = compiler.find_hidden_inverse_sites(c)
         rule = compiler.OrientationRule(threshold)
@@ -248,8 +272,6 @@ def run_compile(in_path, out_path, pass_name, seed, threshold) -> None:
     elif pass_name == "sk1":
         out = compiler.sk1_compile(c)
         print(f"expanded to {len(out.gates)} gates")
-    else:
-        raise ConfigError(f"unknown pass {pass_name!r}")
     circuit.write_file(out, out_path)
 
 
@@ -278,31 +300,21 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.cmd == "sweep":
-            try:
+            with _config_stage(f"cannot read config {args.config}"):
                 with open(args.config) as fh:
                     cfg = json.load(fh)
-            except (OSError, json.JSONDecodeError) as exc:
-                raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
-            out = args.output or cfg.get("output")
-            if not out:
-                raise ConfigError("no output path (use -o or config key 'output')")
-            run_sweep(cfg, out)
+            run_sweep(cfg, args.output)
         elif args.cmd == "compile":
             run_compile(args.input, args.output, args.pass_name, args.seed,
                         args.threshold)
         elif args.cmd == "ptm":
-            try:
+            with _config_stage(f"cannot read spec {args.spec}"):
                 spec = lindblad.load_spec(args.spec)
-            except (OSError, json.JSONDecodeError, TypeError, KeyError) as exc:
-                raise ConfigError(f"cannot read spec {args.spec}: {exc}") from exc
             channels.write_csv(lindblad.ms_gate_channel(spec, args.steps_per_period),
                                args.output)
-    except (ConfigError, circuit.CircuitParseError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, ConfigError) else 3
     return 0
 
 

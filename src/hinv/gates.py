@@ -61,7 +61,11 @@ TWO_QUBIT_KINDS = ("xx", "cnot")
 
 def wrap_two_pi(theta: float) -> float:
     """Canonicalize an angle to (-2*pi, 2*pi], preserving full 2*pi loops."""
-    return theta - 4 * math.pi * math.ceil((theta - 2 * math.pi) / (4 * math.pi))
+    if not math.isfinite(theta):
+        raise ValueError("angle must be finite")
+    # the IEEE remainder is exact, so angles already in range come back unchanged
+    t = math.remainder(theta, 4 * math.pi)
+    return t + 4 * math.pi if t <= -2 * math.pi else t
 
 
 def wrap_pi(theta: float) -> float:
@@ -131,10 +135,6 @@ class NoiseModel:
         for name in ("eps_2q", "eps_1q", "phi_diff", "delta_detune"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-
-    @classmethod
-    def ideal(cls) -> "NoiseModel":
-        return cls()
 
 
 IDEAL = NoiseModel()

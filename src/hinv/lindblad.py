@@ -89,11 +89,6 @@ class LindbladSpec:
     def total_time(self) -> float:
         return sum(s.duration for s in self.segments)
 
-    def is_balanced(self) -> bool:
-        """Balanced tones make the per-mode Hamiltonians commute; imbalanced
-        runs are only approximate under the sequential-mode scheme."""
-        return all(abs(self.omega_r[i] - self.omega_b[i]) == 0.0 for i in (0, 1))
-
 
 def xx_gate_spec(theta: float = math.pi / 4, delta: float = 2 * math.pi * 20e3,
                  loops: int = 1, eta: float = 0.1, n_fock: int = DEFAULT_N_FOCK,
@@ -319,7 +314,7 @@ def ms_gate_channel(spec: LindbladSpec,
     are tensored with the mode state, evolved over the schedule, and the
     mode is traced out before the next round.
     """
-    P = qmat.pauli_basis_stack(2)
+    P = qmat.pauli_basis(2)
     spins = P.astype(complex)
     nf = spec.n_fock
     for j in range(len(spec.modes)):

@@ -78,43 +78,24 @@ def pauli_labels(n: int) -> list[str]:
     return ["".join(p) for p in product("IXYZ", repeat=n)]
 
 
-def pauli_basis(n: int) -> list[np.ndarray]:
+@lru_cache(maxsize=MAX_PAULI_QUBITS)
+def pauli_basis(n: int) -> np.ndarray:
     """The 4**n unnormalized Pauli strings on n qubits, identity first.
 
-    Ordering is lexicographic with I < X < Y < Z; each element is Hermitian
-    and satisfies ``Tr[P_i P_j] = 2**n * delta_ij``. Matrices are cached and
-    read-only.
+    Stacked into a cached, read-only (4**n, 2**n, 2**n) array.  Ordering is
+    lexicographic with I < X < Y < Z; each element is Hermitian and
+    satisfies ``Tr[P_i P_j] = 2**n * delta_ij``.
     """
     _check_n(n)
-    return list(_pauli_basis_cached(n))
-
-
-def pauli_basis_stack(n: int) -> np.ndarray:
-    """Same as :func:`pauli_basis` but stacked into a (4**n, 2**n, 2**n) array."""
-    _check_n(n)
-    return _pauli_stack_cached(n)
+    stack = np.stack([kron([PAULI_1Q[c] for c in labels])
+                      for labels in product("IXYZ", repeat=n)])
+    stack.flags.writeable = False
+    return stack
 
 
 def _check_n(n):
     if not (1 <= n <= MAX_PAULI_QUBITS):
         raise ValueError(f"qubit count must be in [1, {MAX_PAULI_QUBITS}], got {n}")
-
-
-@lru_cache(maxsize=MAX_PAULI_QUBITS)
-def _pauli_basis_cached(n: int):
-    mats = []
-    for labels in product("IXYZ", repeat=n):
-        P = kron([PAULI_1Q[c] for c in labels])
-        P.flags.writeable = False
-        mats.append(P)
-    return tuple(mats)
-
-
-@lru_cache(maxsize=MAX_PAULI_QUBITS)
-def _pauli_stack_cached(n: int) -> np.ndarray:
-    stack = np.stack(_pauli_basis_cached(n))
-    stack.flags.writeable = False
-    return stack
 
 
 def phase_overlap(A, B) -> float:

@@ -30,6 +30,8 @@ from hinv.analytics import MINUS, PLUS
 from hinv.circuit import HIDDEN_INVERSE
 from hinv.gates import INVERSE, STANDARD, NoiseModel
 
+from conftest import binomial_phase_identity
+
 THETA_GRID_25 = np.linspace(-np.pi, np.pi, 25)
 LINDBLAD_DELTA = 2 * np.pi * 200e3
 
@@ -128,7 +130,7 @@ def test_criterion_3_cnot_generator_model():
                     * np.cos(eps / 2) ** (2 * (n - 1))))
     ident_dev = 0.0
     for n in range(2, 13):
-        lhs, rhs = analytics.binomial_phase_identity(n, 0.3)
+        lhs, rhs = binomial_phase_identity(n, 0.3)
         ident_dev = max(ident_dev, abs(lhs - rhs))
     elapsed = time.monotonic() - t0
     ok = worst < 1e-10 and endpoint_dev < 1e-10 and ident_dev < 1e-12 and elapsed < 60

@@ -5,7 +5,8 @@ from hinv import analytics, circuit, gates
 from hinv.analytics import MINUS, PLUS
 from hinv.gates import INVERSE, STANDARD, NoiseModel
 
-from conftest import CNOT4, SZ, embed_on, expi, kron_chain
+from conftest import (CNOT4, SZ, FidelityPoint, binomial_phase_identity, embed_on, expi,
+                      kron_chain)
 
 
 def ladder_fidelity(theta, eps, n, orientation):
@@ -164,23 +165,23 @@ def test_cnot_hamiltonian_endpoints():
 
 
 def test_binomial_phase_identity():
-    lhs, rhs = analytics.binomial_phase_identity(2, 0.4)
+    lhs, rhs = binomial_phase_identity(2, 0.4)
     assert abs(lhs - (1 + np.exp(-0.4j))) < 1e-14
     assert abs(lhs - rhs) < 1e-14
-    lhs, rhs = analytics.binomial_phase_identity(8, 0.3)
+    lhs, rhs = binomial_phase_identity(8, 0.3)
     # direct-summation oracle
     import math
     direct = sum(math.comb(7, w) * np.exp(-1j * w * 0.3) for w in range(8))
     assert abs(lhs - direct) < 1e-13
     assert abs(lhs - rhs) < 1e-12
-    lhs, rhs = analytics.binomial_phase_identity(6, 0.0)
+    lhs, rhs = binomial_phase_identity(6, 0.0)
     assert lhs == rhs == 2**5
 
 
 # --- FidelityPoint -----------------------------------------------------------------
 
 def test_fidelity_point_consistency():
-    p = analytics.FidelityPoint.from_entanglement(0.3, 0.02, 2, PLUS, 0.9)
+    p = FidelityPoint.from_entanglement(0.3, 0.02, 2, PLUS, 0.9)
     assert abs(p.f_average - (4 * 0.9 + 1) / 5) < 1e-15
     with pytest.raises(ValueError):
-        analytics.FidelityPoint(0.3, 0.02, 2, PLUS, 0.9, 0.95)
+        FidelityPoint(0.3, 0.02, 2, PLUS, 0.9, 0.95)

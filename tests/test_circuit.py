@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hinv import channels, circuit, gates, qmat
@@ -221,6 +221,31 @@ def test_ptm_and_density_pipelines_agree_on_random_circuits(case):
     assert np.abs(circuit.run_density(c, nm) - np.abs(psi) ** 2).max() < 1e-10
 
 
+def test_cptp_check_runs_once_per_shared_ptm(monkeypatch):
+    calls = []
+    real = channels.choi_min_eigenvalue
+
+    def counted(R):
+        calls.append(R)
+        return real(R)
+
+    monkeypatch.setattr(channels, "choi_min_eigenvalue", counted)
+    c = circuit.parity_controlled_z(4, 0.3)
+    channel_map = circuit.channels_after_two_qubit(c, channels.depolarizing_ptm(4, 0.9))
+    assert len(channel_map) == 6
+    circuit.run_density(c, NoiseModel(eps_2q=0.02), channel_map)
+    assert len(calls) == 1
+
+
+def test_non_cptp_channel_reports_its_gate_index():
+    c = circuit.parity_controlled_z(3, 0.3)  # CNOTs at gates 0, 1, 3, 4
+    good = channels.depolarizing_ptm(3, 0.9)
+    bad = channels.PTM(3, np.diag([1.0] + [1.5] * 63))  # trace preserving, not CP
+    for run in (circuit.run_density, circuit.run_ptm):
+        with pytest.raises(ValueError, match="channel at gate 3 is not CPTP"):
+            run(c, gates.IDEAL, {0: good, 1: good, 3: bad, 4: bad})
+
+
 # --- amplification property ------------------------------------------------------
 
 def test_amplification_monotone_standard_flat_hidden():
@@ -292,6 +317,32 @@ def test_text_round_trip(tmp_path, rng):
     path = tmp_path / "c.circ"
     circuit.write_file(c, path)
     assert circuit.read_file(path) == c
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(noisy_circuits())
+@example((circuit.Circuit(1, [gates.rot1q(0, np.nextafter(-2 * np.pi, 0.0), 0.5)]),
+          gates.IDEAL, {}))
+def test_text_round_trip_on_random_circuits(case):
+    c = case[0]
+    assert circuit.from_text(circuit.to_text(c)) == c
+
+
+@pytest.mark.parametrize("text, message", [
+    ("qubits 2\nvirtual_z 1 inf\n", "line 2: angle must be finite"),
+    ("qubits 2\nvirtual_z 1 nan\n", "line 2: angle must be finite"),
+    ("qubits 2\nrot1q 0 0.5 -inf\n", "line 2: angle must be finite"),
+    ("qubits 2\nxx 0 1 0.5 nan 0.0\n", "line 2: angle must be finite"),
+    ("qubits 2\nhadamard 0 1\n", "line 2: hadamard takes 1 argument(s), got 2"),
+    ("qubits 2\nvirtual_z 0 0.1 0.2\n", "line 2: virtual_z takes 2 argument(s), got 3"),
+    ("qubits 2\nxx 0 1 0.5 0.0\n", "line 2: xx takes 3 or 5 argument(s), got 4"),
+    ("qubits 2\ncnot 0 1 inverse 7\n", "line 2: cnot takes 2 or 3 argument(s), got 4"),
+    ("qubits 2\n# comment\nqubits 3\n", "line 3: second 'qubits' header"),
+])
+def test_parser_rejects_malformed_lines(text, message):
+    with pytest.raises(circuit.CircuitParseError) as ei:
+        circuit.from_text(text)
+    assert str(ei.value) == message
 
 
 def test_parse_error_reports_line():

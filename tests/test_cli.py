@@ -1,9 +1,11 @@
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hinv import channels, circuit, cli, gates
+from hinv import channels, circuit, cli, gates, lindblad
 
 from conftest import phase_overlap
 
@@ -154,3 +156,127 @@ def test_ptm_bad_spec_exits_2(tmp_path):
     spec = tmp_path / "spec.json"
     spec.write_text("{}")
     assert run(["ptm", str(spec), str(tmp_path / "o.csv")]) == 2
+
+
+def test_header_echoes_effective_config(tmp_path):
+    cfg = write_cfg(tmp_path, "repeated_2q", theta_points=3, output="ignored.csv")
+    out = tmp_path / "r.csv"
+    assert run(["sweep", cfg, "-o", str(out)]) == 0
+    echo = json.loads(out.read_text().splitlines()[1].removeprefix("# config: "))
+    assert echo == {"experiment": "repeated_2q", "theta_points": 3,
+                    **{k: v for k, v in cli.SCHEMAS["repeated_2q"].items()
+                       if k != "theta_points"}}
+
+
+def test_effective_config_fills_defaults_and_checks_types():
+    eff = cli.effective_config({"experiment": "rc_compare", "noise": "phase", "seeds": 3,
+                                "phi_diff_deg": 2})
+    assert eff["seeds"] == 3 and eff["phi_diff_deg"] == 2 and eff["n"] == 2
+    assert "delta_detune" not in eff and "eps_2q" not in eff
+    for bad in ({"experiment": "overrotation_sweep", "theta_points": True},
+                {"experiment": "overrotation_sweep", "theta_points": 41.0},
+                {"experiment": "overrotation_sweep", "eps_1q": math.inf},
+                {"experiment": "overrotation_sweep", "n_list": []},
+                {"experiment": "rc_compare", "noise": "overrotation", "delta_detune": 0.1},
+                {"experiment": "rc_compare", "noise": "drift"}):
+        with pytest.raises(cli.ConfigError):
+            cli.effective_config(bad)
+
+
+# Every malformed input exits 2 with exactly one "error:" line on stderr.
+# Each case: subcommand, input file content (JSON-encoded unless a string),
+# and a fragment of the expected message.
+BAD_INPUTS = {
+    "eps_2q_string": ("sweep", {"experiment": "overrotation_sweep", "eps_2q": "abc"},
+                      "eps_2q must be a finite number"),
+    "zero_seeds": ("sweep", {"experiment": "rc_compare", "seeds": 0}, "seeds >= 1"),
+    "array_config": ("sweep", [1, 2], "config must be a JSON object"),
+    "n_list_1": ("sweep", {"experiment": "overrotation_sweep", "n_list": [1]}, "n_list"),
+    "n_list_11": ("sweep", {"experiment": "phase_sweep", "n_list": [11]}, "n_list"),
+    "n_list_scalar": ("sweep", {"experiment": "overrotation_sweep", "n_list": 4},
+                      "n_list must be a non-empty list"),
+    "typo_key": ("sweep", {"experiment": "overrotation_sweep", "theta_pts": 9},
+                 "unknown key(s) ['theta_pts']"),
+    "theta_points_string": ("sweep", {"experiment": "repeated_2q", "theta_points": "x"},
+                            "theta_points must be an integer"),
+    "zero_reps": ("sweep", {"experiment": "repeated_2q", "reps": 0}, "reps must be >= 1"),
+    "p_depol_2": ("sweep", {"experiment": "contrast_4q", "p_depol": 2},
+                  "retention probability"),
+    "rc_width_1": ("sweep", {"experiment": "rc_compare", "n": 1}, "n in [2, 10]"),
+    "phi_nan": ("sweep", {"experiment": "phase_sweep", "phi_diff_deg": math.nan},
+                "phi_diff_deg must be a finite number"),
+    "ptm_extract": ("sweep", {"experiment": "ptm_extract", "steps_per_period": 100},
+                    "hinv ptm"),
+    "bad_theta_grid": ("sweep", {"experiment": "rc_compare", "theta_min": 1.0,
+                                 "theta_max": 0.0}, "bad theta grid"),
+    "bad_calibrate_key": ("ptm", {"calibrate": {"detuning": 1.0}}, "cannot read spec"),
+    "array_spec": ("ptm", [1, 2], "cannot read spec"),
+    "circuit_inf": ("compile", "qubits 2\nvirtual_z 1 inf\n", "angle must be finite"),
+    "circuit_nan": ("compile", "qubits 2\nrot1q 0 nan 0.0\n", "angle must be finite"),
+    "circuit_trailing": ("compile", "qubits 2\ncnot 0 1 standard 3\n",
+                         "cnot takes 2 or 3 argument(s), got 4"),
+    "circuit_second_header": ("compile", "qubits 2\nqubits 3\n", "second 'qubits' header"),
+}
+
+
+@pytest.mark.parametrize("cmd, content, fragment", BAD_INPUTS.values(), ids=BAD_INPUTS)
+def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, cmd, content, fragment):
+    src = tmp_path / "input"
+    src.write_text(content if isinstance(content, str) else json.dumps(content))
+    out = str(tmp_path / "out")
+    argv = {"sweep": ["sweep", str(src), "-o", out],
+            "ptm": ["ptm", str(src), out],
+            "compile": ["compile", str(src), out, "--pass", "hidden"]}[cmd]
+    assert run(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert fragment in err[0]
+
+
+def _out_of_range_point(monkeypatch):
+    monkeypatch.setattr(cli, "_parity_point", lambda args: [args[0], args[1], 1.5, 0.5])
+    return ["sweep", {"experiment": "overrotation_sweep", "n_list": [2], "theta_points": 2}]
+
+
+def _non_cptp_channel(monkeypatch):
+    monkeypatch.setattr(channels, "is_cptp", lambda R: False)
+    return ["sweep", {"experiment": "contrast_4q", "theta_points": 1}]
+
+
+def _trace_drift(monkeypatch):
+    monkeypatch.setattr(lindblad, "_evolve_batch", lambda rhos, *args: 1.01 * rhos)
+    return ["ptm", {"calibrate": {"n_fock": 3}}]
+
+
+@pytest.mark.parametrize("setup, fragment", [
+    (_out_of_range_point, "out of [0, 1]"),
+    (_non_cptp_channel, "is not CPTP"),
+    (_trace_drift, "trace drift"),
+])
+def test_numeric_failure_exits_3(tmp_path, capsys, monkeypatch, setup, fragment):
+    cmd, content = setup(monkeypatch)
+    src = tmp_path / "input.json"
+    src.write_text(json.dumps(content))
+    out = str(tmp_path / "out.csv")
+    argv = ["sweep", str(src), "-o", out] if cmd == "sweep" else ["ptm", str(src), out]
+    assert run(argv) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and fragment in err[0]
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+SWEEP_CONFIGS = sorted(p for p in CONFIGS.glob("*.json")
+                       if "experiment" in json.loads(p.read_text()))
+
+
+@pytest.mark.parametrize("path", SWEEP_CONFIGS, ids=lambda p: p.stem)
+def test_shipped_sweep_config_builds(path):
+    cfg = cli.effective_config(json.loads(path.read_text()))
+    header, point, tasks = cli.build_sweep(cfg)
+    assert callable(point) and tasks and header
+
+
+def test_shipped_configs_are_all_covered():
+    assert {json.loads(p.read_text())["experiment"] for p in SWEEP_CONFIGS} == set(cli.SCHEMAS)
+    spec = lindblad.load_spec(CONFIGS / "ms_gate_lindblad.json")
+    assert spec.gamma_heat == 200.0 and spec.n_fock == 13

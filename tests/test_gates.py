@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hinv import circuit, compiler, gates, qmat
 from hinv.gates import INVERSE, STANDARD, Gate, NoiseModel
@@ -86,7 +90,7 @@ def test_inverse_sequence_negates_and_reverses():
 # --- realize -----------------------------------------------------------------
 
 def test_realize_zero_noise_exact():
-    nm = NoiseModel.ideal()
+    nm = gates.IDEAL
     for theta, phi in [(0.3, 0.0), (-1.2, 2.0), (np.pi, np.pi / 2)]:
         g = gates.rot1q(0, theta, phi)
         assert np.abs(gates.realize(g, nm) - gates.rot1q_unitary(theta, phi)).max() < 1e-13
@@ -196,6 +200,24 @@ def test_amplitude_to_angle_mapping():
 ])
 def test_wrap_two_pi(theta, want):
     assert abs(gates.wrap_two_pi(theta) - want) < 1e-12
+
+
+@pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
+def test_wrap_two_pi_rejects_non_finite_angles(theta):
+    with pytest.raises(ValueError, match="angle must be finite"):
+        gates.wrap_two_pi(theta)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@example(math.nextafter(2 * math.pi, 7.0))      # just past the right endpoint
+@example(math.nextafter(-2 * math.pi, 0.0))     # just inside the left endpoint
+def test_wrap_two_pi_lands_in_range_and_is_idempotent(theta):
+    t = gates.wrap_two_pi(theta)
+    assert -2 * math.pi < t <= 2 * math.pi
+    assert gates.wrap_two_pi(t) == t
+    if -2 * math.pi < theta <= 2 * math.pi:
+        assert t == theta
 
 
 @pytest.mark.parametrize("theta,want", [(3 * np.pi, np.pi), (-3.5 * np.pi, np.pi / 2),
