@@ -10,11 +10,12 @@ A sweep config names an experiment of :data:`SCHEMAS`, the one table of
 its keys and their defaults.  Sweeps emit deterministic CSV: a header
 comment echoing the effective config, one row per grid point, 12
 significant digits.  Grid points can be dispatched to a process pool sized
-by the ``HINV_WORKERS`` environment variable (default 1); output order is
-independent of the worker count.
+by the ``HINV_WORKERS`` environment variable (an integer >= 1, default 1);
+output order is independent of the worker count.
 
-Exit codes: 0 success, 2 config error (a bad input file, or anything raised
-while building an experiment's inputs), 3 numeric failure.
+Exit codes: 0 success, 2 config error (a bad command line, input file or
+``HINV_WORKERS``, or anything raised while building an experiment's
+inputs), 3 numeric failure.  Either way stderr gets one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -112,9 +113,16 @@ def _noise_from_cfg(cfg) -> gates.NoiseModel:
                                for key, (field, conv) in _NOISE_FIELDS.items() if key in cfg})
 
 
-def _pmap(fn, items):
-    workers = int(os.environ.get("HINV_WORKERS", "1"))
-    if workers <= 1 or len(items) <= 1:
+def _workers() -> int:
+    """The process count set by ``HINV_WORKERS`` (default 1)."""
+    raw = os.environ.get("HINV_WORKERS", "1")
+    if not (raw.isdigit() and int(raw) >= 1):
+        raise ConfigError(f"HINV_WORKERS must be an integer >= 1, got {raw!r}")
+    return int(raw)
+
+
+def _pmap(fn, items, workers):
+    if workers == 1 or len(items) <= 1:
         return [fn(it) for it in items]
     with ProcessPoolExecutor(max_workers=workers) as ex:
         return list(ex.map(fn, items))
@@ -235,8 +243,9 @@ def run_sweep(cfg, out_path=None) -> None:
     out_path = out_path or cfg.get("output")
     if not out_path:
         raise ConfigError("no output path (use -o or config key 'output')")
+    workers = _workers()
     header, point, tasks = build_sweep(cfg)
-    rows = _pmap(point, tasks)
+    rows = _pmap(point, tasks, workers)
     for row in rows:
         for col, x in zip(header, row):
             if col.startswith(("f_", "p")) and not (-1e-9 <= float(x) <= 1 + 1e-9):
@@ -275,8 +284,15 @@ def run_compile(in_path, out_path, pass_name, seed, threshold) -> None:
     circuit.write_file(out, out_path)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a :class:`ConfigError` (exit 2, one line)."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(prog="hinv", description=__doc__.split("\n")[0])
+    parser = _Parser(prog="hinv", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     p_sweep = sub.add_parser("sweep", help="run a configured experiment sweep")
@@ -297,8 +313,8 @@ def main(argv=None) -> int:
     p_ptm.add_argument("--steps-per-period", type=int,
                        default=lindblad.DEFAULT_STEPS_PER_PERIOD)
 
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         if args.cmd == "sweep":
             with _config_stage(f"cannot read config {args.config}"):
                 with open(args.config) as fh:
@@ -308,6 +324,9 @@ def main(argv=None) -> int:
             run_compile(args.input, args.output, args.pass_name, args.seed,
                         args.threshold)
         elif args.cmd == "ptm":
+            if args.steps_per_period < 1:
+                raise ConfigError("--steps-per-period must be >= 1, "
+                                  f"got {args.steps_per_period}")
             with _config_stage(f"cannot read spec {args.spec}"):
                 spec = lindblad.load_spec(args.spec)
             channels.write_csv(lindblad.ms_gate_channel(spec, args.steps_per_period),

@@ -26,14 +26,23 @@ for calibration.
 
 Integration is fixed-step RK4; accuracy is controlled by
 ``steps_per_period`` (default 400 steps per shortest drive period) and
-guarded by the step-halving convergence check in the test suite.
+guarded by the step-halving convergence check in the test suite.  Each
+stage is ``X + X^dag + D(rho)`` with ``X = rho (iH(t) + S)``, one GEMM over
+the flattened stack.  ``S = -(1/2) sum L^dag L`` is diagonal, and the
+dissipator ``D(rho) = sum L rho L^dag`` is elementwise, because each
+collapse operator is diagonal (a real weight matrix times rho) or one Fock
+ladder (two weighted shifts along the Fock axes).  ``X^dag`` equals
+``(-iH + S) rho`` only for Hermitian rho: :func:`ms_gate_channel` evolves
+Hermitian matrices only (Pauli strings tensored with a diagonal mode state,
+and their traced-out images), and :func:`lindblad_evolve` evolves the two
+Hermitian parts ``(rho + rho^dag)/2`` and ``(rho - rho^dag)/2i`` of any input.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -133,85 +142,86 @@ def sk1_pulse_specs(theta: float = math.pi / 4, **kw) -> list[LindbladSpec]:
 # ---------------------------------------------------------------------------
 # operators
 
-def _mode_ops(nf: int):
-    a = np.diag(np.sqrt(np.arange(1, nf, dtype=float)), 1).astype(complex)
-    return a, a.conj().T
+def _drive_ops(spec: LindbladSpec, mode_index: int) -> np.ndarray:
+    """Static operator factors of the four drive terms, stacked (4, D, D).
 
-
-def _drive_terms(spec: LindbladSpec, mode_index: int):
-    """Static operator factors for the four drive terms (ion x tone)."""
+    Terms are ordered (ion 0 red, ion 0 blue, ion 1 red, ion 1 blue), the
+    column order of :func:`_tone_phases`.
+    """
     nf = spec.n_fock
-    a, ad = _mode_ops(nf)
+    a = np.diag(np.sqrt(np.arange(1, nf, dtype=float)), 1).astype(complex)
     sp = np.array([[0, 0], [1, 0]], dtype=complex)  # |1><0|
     I2 = np.eye(2, dtype=complex)
-    terms = []
+    ops = []
     for ion in (0, 1):
         sp_full = qmat.kron([sp, I2] if ion == 0 else [I2, sp])
-        for tone, (omega, phi, mode_op) in enumerate(
-                [(spec.omega_r[ion], spec.phi_r[ion], a),
-                 (spec.omega_b[ion], spec.phi_b[ion], ad)]):
-            eta = spec.modes[mode_index].eta[ion]
-            op = 0.5j * eta * omega * np.exp(1j * phi) * np.kron(sp_full, mode_op)
-            terms.append((ion, tone, op))
-    return terms
+        eta = spec.modes[mode_index].eta[ion]
+        for omega, phi, mode_op in [(spec.omega_r[ion], spec.phi_r[ion], a),
+                                    (spec.omega_b[ion], spec.phi_b[ion], a.T)]:
+            ops.append(0.5j * eta * omega * np.exp(1j * phi) * np.kron(sp_full, mode_op))
+    return np.stack(ops)
 
 
-def _tone_phase(spec: LindbladSpec, mode_index: int, ion: int, tone: int, t: float) -> float:
-    """Accumulated tone phase Phi(t) = integral of the effective detuning.
+def _tone_phases(spec: LindbladSpec, mode_index: int, times) -> np.ndarray:
+    """Accumulated tone phases Phi(t) of the four drive terms, shape (len(times), 4).
 
-    tone 0 = red (detuning -(delta - offset) + stark), tone 1 = blue
-    (+(delta - offset) + stark).
+    Phi is the integral of the effective detuning: red -(delta - offset) +
+    stark, blue +(delta - offset) + stark, with delta swept through the
+    segment schedule.
     """
+    t = np.asarray(times, dtype=float)
     total = spec.total_time
-    if t < -1e-12 or t > total * (1 + 1e-9) + 1e-12:
-        raise ValueError(f"t={t} outside the segment schedule [0, {total}]")
-    acc = 0.0
+    bad = (t < -1e-12) | (t > total * (1 + 1e-9) + 1e-12)
+    if bad.any():
+        raise ValueError(f"t={t[bad][0]} outside the segment schedule [0, {total}]")
+    acc = np.zeros_like(t)
     elapsed = 0.0
     for seg in spec.segments:
-        dt = min(max(t - elapsed, 0.0), seg.duration)
-        acc += seg.delta * dt
+        acc += seg.delta * np.clip(t - elapsed, 0.0, seg.duration)
         elapsed += seg.duration
-        if t <= elapsed:
-            break
-    sign = -1.0 if tone == 0 else 1.0
-    mode = spec.modes[mode_index]
-    return sign * (acc - mode.offset * t) + spec.stark[ion] * t
+    swept = acc - spec.modes[mode_index].offset * t
+    return np.stack([sign * swept + spec.stark[ion] * t
+                     for ion in (0, 1) for sign in (-1.0, 1.0)], axis=-1)
 
 
 def ms_hamiltonian(spec: LindbladSpec, mode_index: int, t: float) -> np.ndarray:
     """The drive Hamiltonian at time ``t`` for one mode, on 2 x 2 x Fock."""
-    terms = _drive_terms(spec, mode_index)
-    return _assemble(terms, spec, mode_index, t)
+    phases = _tone_phases(spec, mode_index, [t])[0]
+    A = np.tensordot(np.exp(-1j * phases), _drive_ops(spec, mode_index), 1)
+    return A + A.conj().T
 
 
-def _assemble(terms, spec, mode_index, t):
-    dim = 4 * spec.n_fock
-    H = np.zeros((dim, dim), dtype=complex)
-    for ion, tone, op in terms:
-        H += op * np.exp(-1j * _tone_phase(spec, mode_index, ion, tone, t))
-    return H + H.conj().T
+def _dissipators(spec: LindbladSpec):
+    """Elementwise collapse operators on 2 x 2 x Fock: ``(weights, static, heat)``.
 
-
-def collapse_operators(spec: LindbladSpec) -> list[np.ndarray]:
+    ``weights * rho`` is ``sum L rho L^dag`` over the diagonal operators
+    (``a^dag a``, ``Z_1 + Z_2``); ``static`` is the diagonal of ``-(1/2) sum
+    L^dag L``.  ``heat[i, j] = Gamma sqrt(n_i n_j)`` weighs heating's
+    ``a^dag rho a`` and ``a rho a^dag``, at the Fock numbers ``n`` of indices
+    ``1:``.  ``weights`` or ``heat`` is None when no channel contributes.
+    """
     nf = spec.n_fock
-    a, ad = _mode_ops(nf)
-    I2 = np.eye(2, dtype=complex)
-    IF = np.eye(nf, dtype=complex)
-    Ls = []
-    if math.isfinite(spec.tau_m):
-        Ls.append(math.sqrt(2.0 / spec.tau_m) * qmat.kron([I2, I2, ad @ a]))
+    fock = np.tile(np.arange(nf, dtype=float), 4)       # a^dag a per basis index
+    zsum = np.repeat([2.0, 0.0, 0.0, -2.0], nf)          # Z_1 + Z_2 per basis index
+    weights = np.zeros((4 * nf, 4 * nf))
+    static = np.zeros(4 * nf)
+    for rate, diag in [(2.0 / spec.tau_m, fock),
+                       (1.0 / (spec.tau_l * len(spec.modes)), zsum)]:
+        weights += rate * np.outer(diag, diag)
+        static -= 0.5 * rate * diag ** 2
+    heat = None
     if spec.gamma_heat > 0:
-        g = math.sqrt(spec.gamma_heat)
-        Ls.append(g * qmat.kron([I2, I2, ad]))
-        Ls.append(g * qmat.kron([I2, I2, a]))
-    if math.isfinite(spec.tau_l):
-        rate = 1.0 / (spec.tau_l * len(spec.modes))
-        zz = qmat.kron([qmat.Z, I2, IF]) + qmat.kron([I2, qmat.Z, IF])
-        Ls.append(math.sqrt(rate) * zz)
-    return Ls
+        g = spec.gamma_heat
+        # a^dag a + a a^dag, with the truncated a a^dag = diag(1, ..., nf - 1, 0)
+        static -= 0.5 * g * (fock + np.where(fock < nf - 1, fock + 1, 0.0))
+        root = np.sqrt(fock[1:])
+        heat = g * np.outer(root, root)
+    return (weights if weights.any() else None), static, heat
 
 
 def _n_steps(spec: LindbladSpec, steps_per_period: int) -> int:
+    if steps_per_period < 1:
+        raise ValueError(f"steps_per_period must be >= 1, got {steps_per_period}")
     omegas = [1.0 / spec.total_time]
     for seg in spec.segments:
         for mode in spec.modes:
@@ -222,66 +232,71 @@ def _n_steps(spec: LindbladSpec, steps_per_period: int) -> int:
     return max(50, math.ceil(spec.total_time / period * steps_per_period))
 
 
-def _lmul(A: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """A @ r_b for a stack r, as one GEMM."""
-    B, D, _ = r.shape
-    M = np.ascontiguousarray(r.transpose(1, 0, 2)).reshape(D, B * D)
-    return np.ascontiguousarray((A @ M).reshape(D, B, D).transpose(1, 0, 2))
-
-
-def _rmul(r: np.ndarray, A: np.ndarray) -> np.ndarray:
-    B, D, _ = r.shape
-    return (np.ascontiguousarray(r).reshape(B * D, D) @ A).reshape(B, D, D)
-
-
 def _evolve_batch(rhos: np.ndarray, spec: LindbladSpec, mode_index: int,
                   steps_per_period: int) -> np.ndarray:
-    """RK4 integration of the master equation for a stack of matrices.
+    """RK4 integration of the master equation for a stack of Hermitian matrices.
 
-    Uses the effective-Hamiltonian form ``K = -iH - (1/2) sum L^dag L``:
-    drho/dt = K rho + rho K^dag + sum L rho L^dag, with the batch flattened
-    into single GEMMs.
+    Each stage is ``X + X^dag + D(rho)`` (see the module docstring); the
+    tone phases of all ``2 steps + 1`` stage times are computed once.
     """
-    terms = _drive_terms(spec, mode_index)
-    Ls = collapse_operators(spec)
-    Lds = [L.conj().T for L in Ls]
-    dim = 4 * spec.n_fock
-    static = np.zeros((dim, dim), dtype=complex)
-    for L, Ld in zip(Ls, Lds):
-        static -= 0.5 * (Ld @ L)
-
-    def rhs(t, r):
-        K = -1j * _assemble(terms, spec, mode_index, t) + static
-        out = _lmul(K, r) + _rmul(r, K.conj().T)
-        for L, Ld in zip(Ls, Lds):
-            out += _rmul(_lmul(L, r), Ld)
-        return out
+    nf = spec.n_fock
+    dim = 4 * nf
+    weights, static, heat = _dissipators(spec)
+    # iH + S = sum_k f_k (i op_k) + conj(f_k) (i op_k^dag) + S: a 9-term basis
+    ops = _drive_ops(spec, mode_index)
+    basis = np.concatenate([1j * ops, 1j * ops.conj().transpose(0, 2, 1),
+                            np.diag(static)[None].astype(complex)]).reshape(9, dim * dim)
 
     steps = _n_steps(spec, steps_per_period)
     dt = spec.total_time / steps
+    f = np.exp(-1j * _tone_phases(spec, mode_index, 0.5 * dt * np.arange(2 * steps + 1)))
+    coeffs = np.concatenate([f, f.conj(), np.ones((len(f), 1))], axis=1)
+
+    def rhs(stage, r):
+        X = (r.reshape(-1, dim) @ (coeffs[stage] @ basis).reshape(dim, dim)).reshape(r.shape)
+        out = np.ascontiguousarray(X.transpose(0, 2, 1))
+        np.conjugate(out, out=out)
+        out += X
+        if weights is not None:
+            out += weights * r
+        if heat is not None:  # a^dag rho a: rho one Fock step up both axes; a rho a^dag: down
+            out[:, 1:, 1:] += heat * r[:, :-1, :-1]
+            out[:, :-1, :-1] += heat * r[:, 1:, 1:]
+        return out
+
     r = rhos.astype(complex)
     for i in range(steps):
-        t = i * dt
-        k1 = rhs(t, r)
-        k2 = rhs(t + dt / 2, r + dt / 2 * k1)
-        k3 = rhs(t + dt / 2, r + dt / 2 * k2)
-        k4 = rhs(t + dt, r + dt * k3)
-        r = r + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        k1 = rhs(2 * i, r)
+        k2 = rhs(2 * i + 1, r + dt / 2 * k1)
+        k3 = rhs(2 * i + 1, r + dt / 2 * k2)
+        k4 = rhs(2 * i + 2, r + dt * k3)
+        # r + dt/6 (k1 + 2 k2 + 2 k3 + k4), in place
+        k2 *= 2
+        k1 += k2
+        k3 *= 2
+        k1 += k3
+        k1 += k4
+        k1 *= dt / 6
+        r += k1
     return r
 
 
 def lindblad_evolve(rho0: np.ndarray, spec: LindbladSpec, mode_index: int = 0,
                     steps_per_period: int = DEFAULT_STEPS_PER_PERIOD) -> np.ndarray:
-    """Evolve one density matrix on 2 x 2 x Fock over the full schedule.
+    """Evolve one matrix on 2 x 2 x Fock over the full schedule.
 
-    Raises ``ValueError`` if the integration drifts the trace by more than
-    1e-8 (relative to the input trace scale).
+    ``rho0`` need not be Hermitian: its Hermitian parts ``(rho + rho^dag)/2``
+    and ``(rho - rho^dag)/2i`` are evolved and recombined, since the map is
+    linear.  Raises ``ValueError`` if the integration drifts the trace by
+    more than 1e-8 (relative to the input trace scale).
     """
     rho0 = np.asarray(rho0, dtype=complex)
     dim = 4 * spec.n_fock
     if rho0.shape != (dim, dim):
         raise ValueError(f"rho must be {dim}x{dim} for n_fock={spec.n_fock}")
-    out = _evolve_batch(rho0[None, :, :], spec, mode_index, steps_per_period)[0]
+    parts = np.stack([rho0 + rho0.conj().T, (rho0 - rho0.conj().T) / 1j]) / 2
+    re, im = _evolve_batch(parts, spec, mode_index, steps_per_period)
+    out = re + 1j * im
     drift = abs(np.trace(out) - np.trace(rho0))
     scale = max(1.0, abs(np.trace(rho0)))
     if drift > 1e-8 * scale:

@@ -93,6 +93,95 @@ class FidelityPoint:
                    average_from_entanglement(f_e, n))
 
 
+# ---------------------------------------------------------------------------
+# dense Lindblad reference: full collapse operators, drive terms summed from
+# a per-term tone-phase walk, and the rhs K rho + rho K^dag + sum L rho L^dag
+# (valid for any input, Hermitian or not)
+
+def _ladder(nf):
+    return np.diag(np.sqrt(np.arange(1, nf, dtype=float)), 1).astype(complex)
+
+
+def collapse_operators(spec):
+    nf = spec.n_fock
+    a = _ladder(nf)
+    ad = a.conj().T
+    IF = np.eye(nf, dtype=complex)
+    Ls = []
+    if math.isfinite(spec.tau_m):
+        Ls.append(math.sqrt(2.0 / spec.tau_m) * kron_chain(I2, I2, ad @ a))
+    if spec.gamma_heat > 0:
+        g = math.sqrt(spec.gamma_heat)
+        Ls.append(g * kron_chain(I2, I2, ad))
+        Ls.append(g * kron_chain(I2, I2, a))
+    if math.isfinite(spec.tau_l):
+        rate = 1.0 / (spec.tau_l * len(spec.modes))
+        Ls.append(math.sqrt(rate) * (kron_chain(SZ, I2, IF) + kron_chain(I2, SZ, IF)))
+    return Ls
+
+
+def _tone_phase(spec, mode_index, ion, tone, t):
+    """Phi(t) by walking the segment list; tone 0 = red, 1 = blue."""
+    acc = 0.0
+    elapsed = 0.0
+    for seg in spec.segments:
+        acc += seg.delta * min(max(t - elapsed, 0.0), seg.duration)
+        elapsed += seg.duration
+    sign = -1.0 if tone == 0 else 1.0
+    return sign * (acc - spec.modes[mode_index].offset * t) + spec.stark[ion] * t
+
+
+def dense_hamiltonian(spec, mode_index, t):
+    a = _ladder(spec.n_fock)
+    sp = np.array([[0, 0], [1, 0]], dtype=complex)
+    H = 0
+    for ion, sp_full in enumerate([kron_chain(sp, I2), kron_chain(I2, sp)]):
+        eta = spec.modes[mode_index].eta[ion]
+        for tone, (omega, phi, mode_op) in enumerate(
+                [(spec.omega_r[ion], spec.phi_r[ion], a),
+                 (spec.omega_b[ion], spec.phi_b[ion], a.conj().T)]):
+            H = H + (0.5j * eta * omega * np.exp(1j * phi)
+                     * np.exp(-1j * _tone_phase(spec, mode_index, ion, tone, t))
+                     * np.kron(sp_full, mode_op))
+    return H + H.conj().T
+
+
+def dense_evolve(rhos, spec, mode_index, steps):
+    """RK4 over ``steps`` equal steps of the full schedule, dense operators."""
+    Ls = collapse_operators(spec)
+    static = -0.5 * sum((L.conj().T @ L for L in Ls), np.zeros((4 * spec.n_fock,) * 2))
+
+    def rhs(t, r):
+        K = -1j * dense_hamiltonian(spec, mode_index, t) + static
+        return K @ r + r @ K.conj().T + sum(L @ r @ L.conj().T for L in Ls)
+
+    dt = spec.total_time / steps
+    r = np.asarray(rhos, dtype=complex)
+    for i in range(steps):
+        t = i * dt
+        k1 = rhs(t, r)
+        k2 = rhs(t + dt / 2, r + dt / 2 * k1)
+        k3 = rhs(t + dt / 2, r + dt / 2 * k2)
+        k4 = rhs(t + dt, r + dt * k3)
+        r = r + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    return r
+
+
+def dense_gate_channel(spec, steps):
+    """Two-qubit PTM: each mode in turn, tensored in, evolved, traced out."""
+    paulis = [I2, SX, SY, SZ]
+    P = np.array([np.kron(p, q) for p in paulis for q in paulis])
+    nf = spec.n_fock
+    boltzmann = (spec.mode_nbar / (1 + spec.mode_nbar)) ** np.arange(nf)  # [1, 0, ...] at nbar 0
+    mode = np.diag(boltzmann / boltzmann.sum()).astype(complex)
+    spins = P
+    for j in range(len(spec.modes)):
+        full = np.array([np.kron(s, mode) for s in spins])
+        out = dense_evolve(full, spec, j, steps)
+        spins = np.einsum("bafcf->bac", out.reshape(-1, 4, nf, 4, nf))
+    return np.real(np.einsum("iab,jba->ij", P, spins)) / 4.0
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -184,8 +184,13 @@ def test_effective_config_fills_defaults_and_checks_types():
 
 
 # Every malformed input exits 2 with exactly one "error:" line on stderr.
-# Each case: subcommand, input file content (JSON-encoded unless a string),
-# and a fragment of the expected message.
+# Each case: a command line (a subcommand of ARGV, or a template with {src}
+# and {out}, after optional NAME=value environment settings), input file
+# content (JSON-encoded unless a string), and a fragment of the expected message.
+ARGV = {"sweep": "sweep {src} -o {out}", "ptm": "ptm {src} {out}",
+        "compile": "compile {src} {out} --pass hidden"}
+SMALL_SWEEP = {"experiment": "repeated_2q", "theta_points": 1}
+SMALL_SPEC = {"calibrate": {"n_fock": 3}}
 BAD_INPUTS = {
     "eps_2q_string": ("sweep", {"experiment": "overrotation_sweep", "eps_2q": "abc"},
                       "eps_2q must be a finite number"),
@@ -216,21 +221,45 @@ BAD_INPUTS = {
     "circuit_trailing": ("compile", "qubits 2\ncnot 0 1 standard 3\n",
                          "cnot takes 2 or 3 argument(s), got 4"),
     "circuit_second_header": ("compile", "qubits 2\nqubits 3\n", "second 'qubits' header"),
+    "steps_per_period_0": ("ptm {src} {out} --steps-per-period 0", SMALL_SPEC,
+                           "--steps-per-period must be >= 1, got 0"),
+    "steps_per_period_negative": ("ptm {src} {out} --steps-per-period -5", SMALL_SPEC,
+                                  "--steps-per-period must be >= 1, got -5"),
+    "workers_word": ("HINV_WORKERS=two sweep", SMALL_SWEEP,
+                     "HINV_WORKERS must be an integer >= 1, got 'two'"),
+    "workers_0": ("HINV_WORKERS=0 sweep", SMALL_SWEEP,
+                  "HINV_WORKERS must be an integer >= 1, got '0'"),
+    "compile_without_pass": ("compile {src} {out}", "qubits 2\n",
+                             "hinv compile: the following arguments are required: --pass"),
+    "unknown_subcommand": ("frobnicate {src}", "", "invalid choice: 'frobnicate'"),
+    "no_subcommand": ("", "", "the following arguments are required: cmd"),
+    "steps_per_period_word": ("ptm {src} {out} --steps-per-period abc", SMALL_SPEC,
+                              "argument --steps-per-period: invalid int value: 'abc'"),
 }
 
 
 @pytest.mark.parametrize("cmd, content, fragment", BAD_INPUTS.values(), ids=BAD_INPUTS)
-def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, cmd, content, fragment):
+def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, monkeypatch, cmd, content,
+                                              fragment):
     src = tmp_path / "input"
     src.write_text(content if isinstance(content, str) else json.dumps(content))
-    out = str(tmp_path / "out")
-    argv = {"sweep": ["sweep", str(src), "-o", out],
-            "ptm": ["ptm", str(src), out],
-            "compile": ["compile", str(src), out, "--pass", "hidden"]}[cmd]
+    words = cmd.split()
+    while words and "=" in words[0]:
+        monkeypatch.setenv(*words.pop(0).split("=", 1))
+    template = ARGV.get(" ".join(words), " ".join(words))
+    argv = template.format(src=src, out=tmp_path / "out").split()
     assert run(argv) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert fragment in err[0]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["ptm", "--help"]])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: hinv")
 
 
 def _out_of_range_point(monkeypatch):

@@ -6,7 +6,7 @@ import pytest
 from hinv import channels, gates, lindblad, qmat
 from hinv.lindblad import LindbladSpec, ModeSpec, Segment
 
-from conftest import SZ, kron_chain
+from conftest import SZ, dense_evolve, dense_gate_channel, dense_hamiltonian, kron_chain
 
 
 DELTA = 2 * np.pi * 20e3
@@ -183,3 +183,68 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         LindbladSpec(omega_r=(0, 0), omega_b=(0, 0), phi_r=(0, 0), phi_b=(0, 0),
                      modes=(), segments=(Segment(1e-5, DELTA),))
+
+
+def _fm_spec(**kw):
+    base = lindblad.xx_gate_spec(delta=DELTA)
+    return LindbladSpec(omega_r=base.omega_r, omega_b=base.omega_b, phi_r=base.phi_r,
+                        phi_b=base.phi_b, modes=base.modes,
+                        segments=(Segment(base.total_time, DELTA),
+                                  Segment(1.25 * base.total_time, 0.8 * DELTA)), **kw)
+
+
+def _two_mode_spec(**kw):
+    base = lindblad.xx_gate_spec(delta=DELTA)
+    return LindbladSpec(omega_r=(1.1 * base.omega_r[0], base.omega_r[1]),
+                        omega_b=base.omega_b, phi_r=(0.3, -1.0), phi_b=(0.1, 0.7),
+                        modes=(base.modes[0],
+                               ModeSpec(eta=(0.05, 0.07), offset=2 * np.pi * 30e3)),
+                        segments=base.segments,
+                        stark=(2 * np.pi * 1e3, -2 * np.pi * 2e3), **kw)
+
+
+# Small specs (n_fock 3-5, <= 60 RK4 steps per mode) covering every term of
+# the structured right-hand side.  Heating at n_fock = 3 populates the top
+# Fock level, where the truncated a a^dag differs from n + 1.
+ORACLE_CASES = {
+    "closed": lindblad.xx_gate_spec(delta=DELTA, n_fock=4),
+    "heating": lindblad.xx_gate_spec(delta=DELTA, n_fock=3, gamma_heat=3000.0),
+    "tau_m": lindblad.xx_gate_spec(delta=DELTA, n_fock=4, tau_m=2e-4),
+    "tau_l": lindblad.xx_gate_spec(delta=DELTA, n_fock=3, tau_l=5e-4),
+    "all_three": lindblad.xx_gate_spec(delta=DELTA, n_fock=4, gamma_heat=3000.0,
+                                       tau_m=2e-4, tau_l=5e-4),
+    "fm_two_segments": _fm_spec(n_fock=4, gamma_heat=1000.0, tau_m=1e-3),
+    "two_modes_stark": _two_mode_spec(n_fock=4, tau_l=1e-3, gamma_heat=500.0),
+    "thermal_mode": lindblad.xx_gate_spec(delta=DELTA, n_fock=5, mode_nbar=0.3,
+                                          gamma_heat=2000.0),
+}
+
+
+@pytest.mark.parametrize("spec", ORACLE_CASES.values(), ids=ORACLE_CASES)
+def test_structured_rhs_matches_dense_oracle(spec):
+    spp = 20
+    steps = lindblad._n_steps(spec, spp)
+    assert steps <= 60
+    for j in range(len(spec.modes)):
+        for t in np.linspace(0.0, spec.total_time, 7):
+            H = dense_hamiltonian(spec, j, t)
+            assert np.abs(lindblad.ms_hamiltonian(spec, j, t) - H).max() < 1e-12 * np.abs(H).max()
+    want = dense_gate_channel(spec, steps)
+    assert np.abs(lindblad.ms_gate_channel(spec, spp).mat - want).max() < 1e-12
+    # a non-Hermitian input, |00><11| (x) |0><0|, and a generic complex matrix
+    nf = spec.n_fock
+    corner = np.zeros((4 * nf, 4 * nf), dtype=complex)
+    corner[0, 3 * nf] = 1.0
+    rng = np.random.default_rng(7)
+    generic = rng.standard_normal(corner.shape) + 1j * rng.standard_normal(corner.shape)
+    for rho0 in (corner, generic / np.abs(np.trace(generic))):
+        out = lindblad.lindblad_evolve(rho0, spec, 0, spp)
+        assert np.abs(out - dense_evolve(rho0, spec, 0, steps)).max() < 1e-12
+
+
+def test_step_count_must_be_positive():
+    spec = lindblad.xx_gate_spec(delta=DELTA, n_fock=3)
+    assert lindblad._n_steps(spec, 1) == 50
+    for bad in (0, -5):
+        with pytest.raises(ValueError, match="steps_per_period must be >= 1"):
+            lindblad._n_steps(spec, bad)
