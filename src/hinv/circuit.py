@@ -48,8 +48,8 @@ class Circuit:
         if self.n < 1:
             raise ValueError("circuit needs at least one qubit")
         for g in self.gates:
-            if any(q >= self.n for q in g.qubits):
-                raise ValueError(f"gate {g} exceeds qubit count {self.n}")
+            if not all(0 <= q < self.n for q in g.qubits):
+                raise ValueError(f"gate {g} has a qubit outside [0, {self.n})")
 
     def __len__(self):
         return len(self.gates)
@@ -91,16 +91,9 @@ def repeated_block_circuit(n: int, theta: float, reps: int, config: str = STANDA
     if config not in (HIDDEN_INVERSE, STANDARD):
         raise ValueError(f"bad config {config!r}")
     closing = INVERSE if config == HIDDEN_INVERSE else STANDARD
-    theta = gates.wrap_pi(theta)
-    gs = [gates.hadamard(q) for q in range(n)]
-    for _ in range(reps):
-        for j in range(n - 1):
-            gs.append(gates.cnot(j, n - 1, STANDARD))
-        gs.append(gates.virtual_z(n - 1, theta))
-        for j in reversed(range(n - 1)):
-            gs.append(gates.cnot(j, n - 1, closing))
-    gs += [gates.hadamard(q) for q in range(n)]
-    return Circuit(n, gs)
+    block = parity_controlled_z(n, theta, [STANDARD] * (n - 1) + [closing] * (n - 1))
+    sandwich = tuple(gates.hadamard(q) for q in range(n))
+    return Circuit(n, sandwich + block.gates * reps + sandwich)
 
 
 def ideal_parity_unitary(n: int, theta: float) -> np.ndarray:

@@ -171,10 +171,10 @@ def _sk1_viability_point(args):
     eps_amp, gamma, delta, steps = args
     kw = dict(delta=delta, gamma_heat=gamma, amp_scale=1.0 + eps_amp)
     ideal = channels.ptm_of_unitary(gates.xx_unitary(math.pi / 4))
-    raw = lindblad.ms_gate_channel(lindblad.xx_gate_spec(**kw), steps)
+    # the SK1 target pulse is the raw gate, xx_gate_spec(**kw)
     pulses = [lindblad.ms_gate_channel(s, steps)
               for s in lindblad.sk1_pulse_specs(math.pi / 4, **kw)]
-    sk1 = channels.compose_ptms(pulses)
+    raw, sk1 = pulses[0], channels.compose_ptms(pulses)
     f_raw = channels.avg_fidelity_from_ptm(raw, ideal)
     f_sk1 = channels.avg_fidelity_from_ptm(sk1, ideal)
     return [eps_amp, gamma, f_raw, f_sk1, f_sk1 - f_raw]
@@ -263,17 +263,19 @@ def run_sweep(cfg, out_path=None) -> None:
 # compile pass driver
 
 def run_compile(in_path, out_path, pass_name, seed, threshold) -> None:
+    if seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {seed}")
+    with _config_stage("bad --threshold"):
+        rule = compiler.OrientationRule(threshold)
     with _config_stage(f"cannot read circuit {in_path}"):
         c = circuit.read_file(in_path)
     if pass_name == "hidden":
         sites = compiler.find_hidden_inverse_sites(c)
-        rule = compiler.OrientationRule(threshold)
         out = compiler.apply_orientation_rule(c, rule)
         print(f"sites: {len(sites)}")
         for s in sites:
-            chosen = "inverse" if rule.pick_inverse(s.enclosed_angle) else "standard"
-            print(f"  gates ({s.left_index}, {s.right_index}) "
-                  f"angle={s.enclosed_angle:.6g} closing={chosen}")
+            print(f"  gates ({s.left_index}, {s.right_index}) angle={s.enclosed_angle:.6g} "
+                  f"closing={out.gates[s.right_index].orientation}")
     elif pass_name == "rc":
         out = compiler.randomized_compile(c, seed)
         print(f"twirled {sum(1 for g in c.gates if g.kind == 'cnot')} composites "

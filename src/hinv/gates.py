@@ -48,10 +48,6 @@ from .qmat import I2, X, Y, Z
 STANDARD = "standard"
 INVERSE = "inverse"
 
-CNOT_MATRIX = np.array(
-    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-)
-
 HADAMARD_MATRIX = (X + Z) / np.sqrt(2)
 
 _PAULI_KINDS = {"pauli_x": X, "pauli_y": Y, "pauli_z": Z}
@@ -253,16 +249,3 @@ def _product(seq: list[Gate], n: int, nm: NoiseModel) -> np.ndarray:
     for g in seq:
         U = qmat.apply(realize(g, nm), g.qubits, U, n)
     return U
-
-
-def _validate_decompositions():
-    for orientation in (STANDARD, INVERSE):
-        P = _product(cnot_sequence(orientation), 2, IDEAL)
-        if abs(1.0 - qmat.phase_overlap(CNOT_MATRIX, P)) > 1e-12:
-            raise AssertionError(f"{orientation} CNOT decomposition is invalid")
-    H = _product(hadamard_sequence(), 1, IDEAL)
-    if abs(1.0 - qmat.phase_overlap(HADAMARD_MATRIX, H)) > 1e-12:
-        raise AssertionError("Hadamard decomposition is invalid")
-
-
-_validate_decompositions()

@@ -107,10 +107,6 @@ def phase_overlap(A, B) -> float:
     return float(abs(np.trace(A.conj().T @ B)) / A.shape[0])
 
 
-def equal_up_to_phase(A, B, tol: float = 1e-10) -> bool:
-    return abs(1.0 - phase_overlap(A, B)) < tol
-
-
 def apply(op, qubits, M, n: int) -> np.ndarray:
     """``embed(op, qubits, n) @ M`` without building the full operator.
 

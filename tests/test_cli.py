@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -235,6 +236,22 @@ BAD_INPUTS = {
     "no_subcommand": ("", "", "the following arguments are required: cmd"),
     "steps_per_period_word": ("ptm {src} {out} --steps-per-period abc", SMALL_SPEC,
                               "argument --steps-per-period: invalid int value: 'abc'"),
+    "n_fock_fraction": ("ptm", {"calibrate": {"n_fock": 5.5}},
+                        "n_fock must be an integer >= 2, got 5.5"),
+    "gamma_heat_nan": ("ptm", {"calibrate": {"n_fock": 3, "gamma_heat": math.nan}},
+                       "must be finite"),
+    "mode_nbar_nan": ("ptm", {"calibrate": {"n_fock": 3, "mode_nbar": math.nan}},
+                      "must be finite"),
+    "mode_nbar_negative": ("ptm", {"calibrate": {"n_fock": 3, "mode_nbar": -0.5}},
+                           "mode_nbar must be >= 0"),
+    "circuit_negative_qubit": ("compile {src} {out} --pass rc", "qubits 2\nrot1q -1 0.5 0.0\n",
+                               "outside [0, 2)"),
+    "threshold_nan": ("compile {src} {out} --pass hidden --threshold nan", "qubits 2\n",
+                      "threshold must be in (0, pi]"),
+    "threshold_5": ("compile {src} {out} --pass hidden --threshold 5", "qubits 2\n",
+                    "threshold must be in (0, pi]"),
+    "seed_negative": ("compile {src} {out} --pass rc --seed -1", "qubits 2\n",
+                      "--seed must be >= 0, got -1"),
 }
 
 
@@ -277,10 +294,16 @@ def _trace_drift(monkeypatch):
     return ["ptm", {"calibrate": {"n_fock": 3}}]
 
 
+def _diverging_rk4(monkeypatch):
+    # heating this fast makes RK4 diverge to NaN at the default step count
+    return ["ptm", {"calibrate": {"n_fock": 4, "gamma_heat": 1e12}}]
+
+
 @pytest.mark.parametrize("setup, fragment", [
     (_out_of_range_point, "out of [0, 1]"),
     (_non_cptp_channel, "is not CPTP"),
     (_trace_drift, "trace drift"),
+    (_diverging_rk4, "trace drift nan"),
 ])
 def test_numeric_failure_exits_3(tmp_path, capsys, monkeypatch, setup, fragment):
     cmd, content = setup(monkeypatch)
@@ -309,3 +332,20 @@ def test_shipped_configs_are_all_covered():
     assert {json.loads(p.read_text())["experiment"] for p in SWEEP_CONFIGS} == set(cli.SCHEMAS)
     spec = lindblad.load_spec(CONFIGS / "ms_gate_lindblad.json")
     assert spec.gamma_heat == 200.0 and spec.n_fock == 13
+
+
+# sha256 of each fast shipped sweep's CSV, as recorded in CHANGES.md
+RECORDED_SHA256 = {
+    "contrast_4q": "7418bbda6fea2893b69f42605497dd60ba38f39de3bc0418ecb94561f4ff020a",
+    "repeated_2q": "54435730915db4f2f4f6cbc815cca25d2c95fdb0e7089fce0cd5d487ab29fa1c",
+    "rc_compare_detuning": "7a3ae277cd7aa63d19d8f0729ad1fa54cfc79b13a29e7c5fea79077e4441ac1b",
+    "rc_compare_overrotation":
+        "df403d1c8cf74c19b4ede59edef126bb3317f9c35655216459a7ba7fbdb5a223",
+}
+
+
+@pytest.mark.parametrize("name", RECORDED_SHA256)
+def test_fast_shipped_configs_reproduce_recorded_csvs(tmp_path, name):
+    out = tmp_path / "out.csv"
+    assert run(["sweep", str(CONFIGS / f"{name}.json"), "-o", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == RECORDED_SHA256[name]

@@ -173,7 +173,9 @@ def test_apply_checks_shapes_and_indices():
         qmat.apply(np.eye(2), (0,), np.eye(4), 3)  # rows do not match n
 
 
-def test_equal_up_to_phase(rng):
+def test_phase_overlap(rng):
     U = random_unitary(rng, 4)
-    assert qmat.equal_up_to_phase(U, np.exp(0.7j) * U)
-    assert not qmat.equal_up_to_phase(U, random_unitary(rng, 4))
+    assert abs(1.0 - qmat.phase_overlap(U, np.exp(0.7j) * U)) < 1e-10
+    assert qmat.phase_overlap(U, random_unitary(rng, 4)) < 1 - 1e-10
+    with pytest.raises(ValueError, match="shape mismatch"):
+        qmat.phase_overlap(U, np.eye(2))
