@@ -24,7 +24,6 @@ Floats are written with repr so parse(print(c)) == c exactly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -110,10 +109,7 @@ def unitary_of(c: Circuit, nm: NoiseModel = IDEAL) -> np.ndarray:
     dim = 2**c.n
     if dim > MAX_DENSE_DIM:
         raise ValueError(f"dense dimension {dim} exceeds {MAX_DENSE_DIM}")
-    U = np.eye(dim, dtype=complex)
-    for g in c.gates:
-        U = qmat.apply(gates.realize(g, nm), g.qubits, U, c.n)
-    return U
+    return gates.product(c.gates, c.n, nm)
 
 
 def run_density(c: Circuit, nm: NoiseModel = IDEAL, channel_map=None) -> np.ndarray:
@@ -217,13 +213,6 @@ _ARITY = {"qubits": (1,), "rot1q": (3,), "virtual_z": (2,), "xx": (3, 5),
           "pauli_z": (1,)}
 
 
-def _finite(tok: str) -> float:
-    x = float(tok)
-    if not math.isfinite(x):
-        raise ValueError("angle must be finite")
-    return x
-
-
 def from_text(text: str) -> Circuit:
     n = None
     gs = []
@@ -244,12 +233,12 @@ def from_text(text: str) -> Circuit:
                     raise ValueError("second 'qubits' header")
                 n = int(args[0])
             elif kind == "rot1q":
-                gs.append(gates.rot1q(int(args[0]), _finite(args[1]), _finite(args[2])))
+                gs.append(gates.rot1q(int(args[0]), float(args[1]), float(args[2])))
             elif kind == "virtual_z":
-                gs.append(gates.virtual_z(int(args[0]), _finite(args[1])))
+                gs.append(gates.virtual_z(int(args[0]), float(args[1])))
             elif kind == "xx":
                 gs.append(gates.xx(int(args[0]), int(args[1]),
-                                   *(_finite(a) for a in args[2:])))
+                                   *(float(a) for a in args[2:])))
             elif kind == "hadamard":
                 gs.append(gates.hadamard(int(args[0])))
             elif kind == "cnot":

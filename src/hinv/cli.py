@@ -270,8 +270,7 @@ def run_compile(in_path, out_path, pass_name, seed, threshold) -> None:
     with _config_stage(f"cannot read circuit {in_path}"):
         c = circuit.read_file(in_path)
     if pass_name == "hidden":
-        sites = compiler.find_hidden_inverse_sites(c)
-        out = compiler.apply_orientation_rule(c, rule)
+        out, sites = compiler.apply_orientation_rule(c, rule)
         print(f"sites: {len(sites)}")
         for s in sites:
             print(f"  gates ({s.left_index}, {s.right_index}) angle={s.enclosed_angle:.6g} "

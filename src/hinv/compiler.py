@@ -12,11 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import gates, qmat
+from . import gates
 from .circuit import Circuit
 from .gates import INVERSE, STANDARD, Gate
-
-SK1_MAX_SPIN_ANGLE = 4 * math.pi
 
 
 @dataclass(frozen=True)
@@ -72,20 +70,12 @@ def find_hidden_inverse_sites(c: Circuit) -> list[ConjugationSite]:
 def _has_noncommuting_witness(c: Circuit, left: int, right: int) -> bool:
     cn = c.gates[left]
     for g in c.gates[left + 1:right]:
-        shared = set(g.qubits) & set(cn.qubits)
-        if not shared:
-            continue
-        union = sorted(set(g.qubits) | set(cn.qubits))
-        k = len(union)
-        pos = {q: p for p, q in enumerate(union)}
-
-        def on(h, M):
-            U = gates.realize(h, gates.IDEAL)
-            return qmat.apply(U, tuple(pos[q] for q in h.qubits), M, k)
-
-        eye = np.eye(2**k, dtype=complex)
-        if np.abs(on(cn, on(g, eye)) - on(g, on(cn, eye))).max() > 1e-9:
-            return True
+        if set(g.qubits) & set(cn.qubits):
+            pos = {q: p for p, q in enumerate(sorted(set(g.qubits) | set(cn.qubits)))}
+            a, b, k = _remap(cn, pos), _remap(g, pos), len(pos)
+            if np.abs(gates.product([a, b], k, gates.IDEAL)
+                      - gates.product([b, a], k, gates.IDEAL)).max() > 1e-9:
+                return True
     return False
 
 
@@ -98,19 +88,21 @@ def _enclosed_angle(c: Circuit, left: int, right: int) -> float:
     return gates.wrap_pi(total)
 
 
-def apply_orientation_rule(c: Circuit, rule: OrientationRule = OrientationRule()) -> Circuit:
+def apply_orientation_rule(c: Circuit, rule: OrientationRule = OrientationRule()
+                           ) -> tuple[Circuit, list[ConjugationSite]]:
     """Set orientations at every conjugation site: the closing composite is
     inverted when the rule selects the hidden-inverse configuration.
     Gates outside sites are left untouched; the noiseless unitary is
-    unchanged either way."""
+    unchanged either way.  Returns the compiled circuit and its sites."""
     new = list(c.gates)
-    for site in find_hidden_inverse_sites(c):
+    sites = find_hidden_inverse_sites(c)
+    for site in sites:
         invert = rule.pick_inverse(site.enclosed_angle)
         left, right = c.gates[site.left_index], c.gates[site.right_index]
         new[site.left_index] = gates.cnot(*left.qubits, STANDARD)
         new[site.right_index] = gates.cnot(*right.qubits,
                                            INVERSE if invert else STANDARD)
-    return Circuit(c.n, new)
+    return Circuit(c.n, new), sites
 
 
 # ---------------------------------------------------------------------------
@@ -170,26 +162,19 @@ def sk1_expand(g: Gate) -> list[Gate]:
     """
     if g.kind == "rot1q":
         theta, phi = g.params
-        phi1 = _sk1_phase(theta)
+        phi1 = gates.sk1_phase(theta)
         q = g.qubits[0]
         return [g,
                 gates.rot1q(q, 2 * math.pi, phi + phi1),
                 gates.rot1q(q, 2 * math.pi, phi - phi1)]
     if g.kind == "xx":
         theta, pa, pb = g.params
-        phi1 = _sk1_phase(2 * theta)
+        phi1 = gates.sk1_phase(2 * theta)
         qa, qb = g.qubits
         return [g,
                 gates.xx(qa, qb, math.pi, pa + phi1, pb),
                 gates.xx(qa, qb, math.pi, pa - phi1, pb)]
     raise ValueError(f"sk1_expand applies to rot1q or xx gates, not {g.kind!r}")
-
-
-def _sk1_phase(spin_angle: float) -> float:
-    if abs(spin_angle) > SK1_MAX_SPIN_ANGLE:
-        raise ValueError(
-            f"spin angle {spin_angle} exceeds 4*pi; SK1 correction phase undefined")
-    return math.acos(-spin_angle / (4 * math.pi))
 
 
 def flatten_composites(c: Circuit) -> Circuit:

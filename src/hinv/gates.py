@@ -54,6 +54,8 @@ _PAULI_KINDS = {"pauli_x": X, "pauli_y": Y, "pauli_z": Z}
 
 TWO_QUBIT_KINDS = ("xx", "cnot")
 
+SK1_MAX_SPIN_ANGLE = 4 * math.pi
+
 
 def wrap_two_pi(theta: float) -> float:
     """Canonicalize an angle to (-2*pi, 2*pi], preserving full 2*pi loops."""
@@ -86,6 +88,8 @@ class Gate:
             raise ValueError(f"duplicate qubit indices in {self.qubits}")
         if self.kind == "cnot" and self.orientation not in (STANDARD, INVERSE):
             raise ValueError(f"bad orientation {self.orientation!r}")
+        if not all(math.isfinite(p) for p in self.params):
+            raise ValueError("angle must be finite")
 
 
 def rot1q(q: int, theta: float, phi: float) -> Gate:
@@ -143,6 +147,14 @@ def amplitude_to_angle_overrotation(eps_amplitude: float) -> float:
     amplitude error eps produces an angle overrotation (1+eps)^2 - 1.
     """
     return (1.0 + eps_amplitude) ** 2 - 1.0
+
+
+def sk1_phase(spin_angle: float) -> float:
+    """SK1 correction phase ``phi1``, ``cos(phi1) = -spin_angle/(4*pi)``."""
+    if abs(spin_angle) > SK1_MAX_SPIN_ANGLE:
+        raise ValueError(
+            f"spin angle {spin_angle} exceeds 4*pi; SK1 correction phase undefined")
+    return math.acos(-spin_angle / (4 * math.pi))
 
 
 def _axis(phi: float) -> np.ndarray:
@@ -238,13 +250,14 @@ def _realized(g: Gate, nm: NoiseModel) -> np.ndarray:
             G = G + nm.delta_detune * abs(theta) / 2 * (np.kron(Z, I2) + np.kron(I2, Z))
         return qmat.herm_exp(G, 1.0)
     if k == "hadamard":
-        return _product(hadamard_sequence(), 1, nm)
+        return product(hadamard_sequence(), 1, nm)
     if k == "cnot":
-        return _product(cnot_sequence(g.orientation), 2, nm)
+        return product(cnot_sequence(g.orientation), 2, nm)
     raise ValueError(f"unknown gate kind {k!r}")
 
 
-def _product(seq: list[Gate], n: int, nm: NoiseModel) -> np.ndarray:
+def product(seq, n: int, nm: NoiseModel) -> np.ndarray:
+    """Ordered product of the realized gates of ``seq`` on an n-qubit register."""
     U = np.eye(2**n, dtype=complex)
     for g in seq:
         U = qmat.apply(realize(g, nm), g.qubits, U, n)

@@ -46,7 +46,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from . import compiler, qmat
+from . import gates, qmat
 from .channels import PTM
 
 DEFAULT_N_FOCK = 13
@@ -63,10 +63,22 @@ class Segment:
             raise ValueError("segment duration must be positive and finite")
 
 
+def _per_ion(spec, *names) -> None:
+    """Store each named field of a frozen spec as a tuple of two, one per ion."""
+    for name in names:
+        pair = tuple(getattr(spec, name))
+        if len(pair) != 2:
+            raise ValueError(f"{name} needs one value per ion, got {len(pair)}")
+        object.__setattr__(spec, name, pair)
+
+
 @dataclass(frozen=True)
 class ModeSpec:
     eta: tuple[float, float]          # Lamb-Dicke parameter per ion
     offset: float = 0.0               # mode frequency offset from reference, rad/s
+
+    def __post_init__(self):
+        _per_ion(self, "eta")
 
 
 @dataclass(frozen=True)
@@ -85,6 +97,7 @@ class LindbladSpec:
     mode_nbar: float = 0.0            # thermal occupation of the initial mode state
 
     def __post_init__(self):
+        _per_ion(self, "omega_r", "omega_b", "phi_r", "phi_b", "stark")
         object.__setattr__(self, "modes", tuple(self.modes))
         object.__setattr__(self, "segments", tuple(self.segments))
         if not isinstance(self.n_fock, int) or self.n_fock < 2:
@@ -137,7 +150,7 @@ def sk1_pulse_specs(theta: float = math.pi / 4, **kw) -> list[LindbladSpec]:
     Loop pulses have generator angle pi (spin angle 2*pi) and run 4x longer
     at the same drive strength.
     """
-    phi1 = compiler._sk1_phase(2 * theta)
+    phi1 = gates.sk1_phase(2 * theta)
     loops = kw.pop("loops", 1)
     target = xx_gate_spec(theta, loops=loops, **kw)
     plus = xx_gate_spec(math.pi, loops=4 * loops, spin_phases=(phi1, 0.0), **kw)
@@ -347,12 +360,9 @@ def spec_from_dict(d: dict) -> LindbladSpec:
         cal = dict(d["calibrate"])
         return xx_gate_spec(**cal)
     kw = dict(d)
-    kw["modes"] = tuple(ModeSpec(eta=tuple(m["eta"]), offset=m.get("offset", 0.0))
+    kw["modes"] = tuple(ModeSpec(eta=m["eta"], offset=m.get("offset", 0.0))
                         for m in kw["modes"])
     kw["segments"] = tuple(Segment(s["duration"], s["delta"]) for s in kw["segments"])
-    for key in ("omega_r", "omega_b", "phi_r", "phi_b", "stark"):
-        if key in kw:
-            kw[key] = tuple(kw[key])
     for key in ("tau_m", "tau_l"):
         if kw.get(key) in (None, "inf"):
             kw.pop(key, None)

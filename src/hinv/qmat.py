@@ -12,8 +12,6 @@ Conventions used throughout the package:
 - The n-qubit Pauli basis is ordered lexicographically with I < X < Y < Z
   (II, IX, IY, IZ, XI, ... for n=2) and uses plain (unnormalized) Pauli
   strings: ``Tr[P_i P_j] = 2**n * delta_ij``.
-- "Equal up to global phase" means ``|Tr[A^dag B]| / dim`` is 1 within
-  tolerance.
 
 The single-qubit constants and all returned basis matrices are flagged
 read-only; everything here is stateless and safe to share across parallel
@@ -96,15 +94,6 @@ def pauli_basis(n: int) -> np.ndarray:
 def _check_n(n):
     if not (1 <= n <= MAX_PAULI_QUBITS):
         raise ValueError(f"qubit count must be in [1, {MAX_PAULI_QUBITS}], got {n}")
-
-
-def phase_overlap(A, B) -> float:
-    """``|Tr[A^dag B]| / dim`` -- equals 1 iff A == B up to a global phase."""
-    A = np.asarray(A)
-    B = np.asarray(B)
-    if A.shape != B.shape:
-        raise ValueError(f"shape mismatch: {A.shape} vs {B.shape}")
-    return float(abs(np.trace(A.conj().T @ B)) / A.shape[0])
 
 
 def apply(op, qubits, M, n: int) -> np.ndarray:

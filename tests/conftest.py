@@ -1,13 +1,17 @@
-"""Shared test helpers: independent oracles kept off the library's code paths."""
+"""Shared test helpers: independent oracles kept off the library's code paths,
+and a random-circuit strategy."""
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from hinv import channels, circuit, gates
 from hinv.analytics import MINUS, PLUS, average_from_entanglement
+from hinv.gates import INVERSE, STANDARD, NoiseModel
 
 I2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -91,6 +95,43 @@ class FidelityPoint:
     def from_entanglement(cls, theta, eps, n, orientation, f_e):
         return cls(theta, eps, n, orientation, f_e,
                    average_from_entanglement(f_e, n))
+
+
+_ANGLES = st.floats(-2 * np.pi, 2 * np.pi, allow_nan=False)
+
+
+@st.composite
+def noisy_circuits(draw):
+    """A random circuit on n <= 4 qubits with a random noise model, and a
+    global depolarizing channel after some of its gates (maybe none)."""
+    n = draw(st.integers(1, 4))
+    gs = []
+    for _ in range(draw(st.integers(0, 8))):
+        kinds = ["rot1q", "virtual_z", "hadamard", "pauli_y"]
+        if n > 1:
+            kinds += ["xx", "cnot"]
+        kind = draw(st.sampled_from(kinds))
+        k = 2 if kind in gates.TWO_QUBIT_KINDS else 1
+        qs = draw(st.permutations(range(n)))[:k]
+        if kind == "rot1q":
+            gs.append(gates.rot1q(qs[0], draw(_ANGLES), draw(_ANGLES)))
+        elif kind == "virtual_z":
+            gs.append(gates.virtual_z(qs[0], draw(_ANGLES)))
+        elif kind == "xx":
+            gs.append(gates.xx(*qs, draw(_ANGLES), draw(_ANGLES), draw(_ANGLES)))
+        elif kind == "cnot":
+            gs.append(gates.cnot(*qs, draw(st.sampled_from([STANDARD, INVERSE]))))
+        elif kind == "hadamard":
+            gs.append(gates.hadamard(qs[0]))
+        else:
+            gs.append(gates.Gate(kind, (qs[0],)))
+    small = st.floats(-0.05, 0.05, allow_nan=False)
+    nm = NoiseModel(eps_2q=draw(small), eps_1q=draw(small),
+                    phi_diff=draw(small), delta_detune=draw(small))
+    c = circuit.Circuit(n, gs)
+    p = draw(st.floats(0.5, 1.0))
+    where = draw(st.sets(st.integers(0, len(gs) - 1), max_size=len(gs))) if gs else set()
+    return c, nm, {i: channels.depolarizing_ptm(n, p) for i in where}
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from hinv import channels, circuit, gates, qmat
 from hinv.circuit import HIDDEN_INVERSE
 from hinv.gates import INVERSE, STANDARD, NoiseModel
 
-from conftest import (CNOT4, SX, SZ, embed_on, expi, kron_chain, phase_overlap,
-                      random_unitary)
+from conftest import (CNOT4, SX, SZ, embed_on, expi, kron_chain, noisy_circuits,
+                      phase_overlap, random_unitary)
 
 
 def both_orientation_lists(n):
@@ -170,43 +169,6 @@ def test_ptm_pipeline_equals_density_pipeline(rng):
         a = circuit.run_density(c, nm, cm)
         b = circuit.run_ptm(c, nm, cm)
         assert np.abs(a - b).max() < 1e-10
-
-
-_ANGLES = st.floats(-2 * np.pi, 2 * np.pi, allow_nan=False)
-
-
-@st.composite
-def noisy_circuits(draw):
-    """A random circuit on n <= 4 qubits with a random noise model, and a
-    global depolarizing channel after some of its gates (maybe none)."""
-    n = draw(st.integers(1, 4))
-    gs = []
-    for _ in range(draw(st.integers(0, 8))):
-        kinds = ["rot1q", "virtual_z", "hadamard", "pauli_y"]
-        if n > 1:
-            kinds += ["xx", "cnot"]
-        kind = draw(st.sampled_from(kinds))
-        k = 2 if kind in gates.TWO_QUBIT_KINDS else 1
-        qs = draw(st.permutations(range(n)))[:k]
-        if kind == "rot1q":
-            gs.append(gates.rot1q(qs[0], draw(_ANGLES), draw(_ANGLES)))
-        elif kind == "virtual_z":
-            gs.append(gates.virtual_z(qs[0], draw(_ANGLES)))
-        elif kind == "xx":
-            gs.append(gates.xx(*qs, draw(_ANGLES), draw(_ANGLES), draw(_ANGLES)))
-        elif kind == "cnot":
-            gs.append(gates.cnot(*qs, draw(st.sampled_from([STANDARD, INVERSE]))))
-        elif kind == "hadamard":
-            gs.append(gates.hadamard(qs[0]))
-        else:
-            gs.append(gates.Gate(kind, (qs[0],)))
-    small = st.floats(-0.05, 0.05, allow_nan=False)
-    nm = NoiseModel(eps_2q=draw(small), eps_1q=draw(small),
-                    phi_diff=draw(small), delta_detune=draw(small))
-    c = circuit.Circuit(n, gs)
-    p = draw(st.floats(0.5, 1.0))
-    where = draw(st.sets(st.integers(0, len(gs) - 1), max_size=len(gs))) if gs else set()
-    return c, nm, {i: channels.depolarizing_ptm(n, p) for i in where}
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hinv import channels, circuit, cli, gates, lindblad
+from hinv import channels, circuit, cli, compiler, gates, lindblad
 
 from conftest import phase_overlap
 
@@ -192,6 +192,7 @@ ARGV = {"sweep": "sweep {src} -o {out}", "ptm": "ptm {src} {out}",
         "compile": "compile {src} {out} --pass hidden"}
 SMALL_SWEEP = {"experiment": "repeated_2q", "theta_points": 1}
 SMALL_SPEC = {"calibrate": {"n_fock": 3}}
+FULL_SPEC = lindblad.spec_to_dict(lindblad.xx_gate_spec(n_fock=3))
 BAD_INPUTS = {
     "eps_2q_string": ("sweep", {"experiment": "overrotation_sweep", "eps_2q": "abc"},
                       "eps_2q must be a finite number"),
@@ -252,6 +253,12 @@ BAD_INPUTS = {
                     "threshold must be in (0, pi]"),
     "seed_negative": ("compile {src} {out} --pass rc --seed -1", "qubits 2\n",
                       "--seed must be >= 0, got -1"),
+    "omega_r_one_entry": ("ptm", {**FULL_SPEC, "omega_r": [1e5]},
+                          "omega_r needs one value per ion, got 1"),
+    "eta_one_entry": ("ptm", {**FULL_SPEC, "modes": [{"eta": [0.1]}]},
+                      "eta needs one value per ion, got 1"),
+    "eta_three_entries": ("ptm", {**FULL_SPEC, "modes": [{"eta": [0.1, 0.1, 0.1]}]},
+                          "eta needs one value per ion, got 3"),
 }
 
 
@@ -349,3 +356,50 @@ def test_fast_shipped_configs_reproduce_recorded_csvs(tmp_path, name):
     out = tmp_path / "out.csv"
     assert run(["sweep", str(CONFIGS / f"{name}.json"), "-o", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == RECORDED_SHA256[name]
+
+
+# A circuit with nested, repeated and adjacent conjugation sites, and the
+# sha256 of (output file, stdout) of each pass on it, recorded before the
+# hidden pass shared its site search with the report.
+COMPILE_CIRCUIT = """qubits 3
+cnot 0 2 standard
+cnot 1 2 standard
+virtual_z 2 0.7
+rot1q 1 0.3 0.2
+cnot 1 2 standard
+cnot 0 2 standard
+hadamard 0
+cnot 0 1
+xx 0 1 0.4 0.1 0.2
+cnot 0 1
+cnot 1 2
+virtual_z 2 2.5
+cnot 1 2
+rot1q 2 1.1 0.0
+"""
+RECORDED_COMPILE_SHA256 = {
+    "hidden": ("ff9a15fa59aff00cdb96e44782bd3b9ae1c02499ec39f7dc2521845b460d9c53",
+               "b50b73f8691eeeb1ca33943e5e1c72b1c3d6edda7fedd9c6a858441ee18990fe"),
+    "hidden --threshold 0.3":
+        ("0cfe6d20e0bdc11cbee4fee1f38ee11bd22f61f5140dad2f03fa426743341b1b",
+         "8690314e714bf137e1e71249fff7adc8509ce260217d771794cc97d86fa7a4a7"),
+    "rc --seed 5": ("c6f668c1aa187d9411f208b323592afca5aa8641e5786828702deb5e35c73120",
+                    "c5cd35445c0671b1b267b24e53005c4216be2141d838cb32f900342a8ebe978c"),
+    "sk1": ("77743c7067383f78a76f8b3767b8d549102a09436d66c394800eefa354981874",
+            "c62f8ccd66f5119748defc147f84d47d0165b4433bc694558470543c730047f6"),
+}
+
+
+@pytest.mark.parametrize("args", RECORDED_COMPILE_SHA256)
+def test_compile_reproduces_recorded_output(tmp_path, capsys, monkeypatch, args):
+    searches = []
+    search = compiler.find_hidden_inverse_sites
+    monkeypatch.setattr(compiler, "find_hidden_inverse_sites",
+                        lambda c: searches.append(c) or search(c))
+    src, dst = tmp_path / "in.circ", tmp_path / "out.circ"
+    src.write_text(COMPILE_CIRCUIT)
+    assert run(["compile", str(src), str(dst), "--pass", *args.split()]) == 0
+    digests = (hashlib.sha256(dst.read_bytes()).hexdigest(),
+               hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
+    assert digests == RECORDED_COMPILE_SHA256[args]
+    assert len(searches) == (1 if args.startswith("hidden") else 0)

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hinv import analytics, channels, circuit, compiler, gates
 from hinv.analytics import MINUS, PLUS
 from hinv.compiler import OrientationRule
 from hinv.gates import INVERSE, STANDARD, NoiseModel
 
-from conftest import phase_overlap
+from conftest import noisy_circuits, phase_overlap
 
 
 # --- site detection -----------------------------------------------------------
@@ -55,17 +57,17 @@ def test_repetition_boundaries_pair_greedily():
 # --- orientation rule -----------------------------------------------------------
 
 def test_rule_small_angle_inverts():
-    c = compiler.apply_orientation_rule(circuit.parity_controlled_z(2, 0.3))
+    c, _ = compiler.apply_orientation_rule(circuit.parity_controlled_z(2, 0.3))
     assert [g.orientation for g in c.gates if g.kind == "cnot"] == [STANDARD, INVERSE]
 
 
 def test_rule_large_angle_keeps_standard():
-    c = compiler.apply_orientation_rule(circuit.parity_controlled_z(2, 2.0))
+    c, _ = compiler.apply_orientation_rule(circuit.parity_controlled_z(2, 2.0))
     assert [g.orientation for g in c.gates if g.kind == "cnot"] == [STANDARD, STANDARD]
 
 
 def test_rule_boundary_is_inclusive():
-    c = compiler.apply_orientation_rule(circuit.parity_controlled_z(2, np.pi / 2))
+    c, _ = compiler.apply_orientation_rule(circuit.parity_controlled_z(2, np.pi / 2))
     assert [g.orientation for g in c.gates if g.kind == "cnot"] == [STANDARD, INVERSE]
 
 
@@ -79,7 +81,8 @@ def test_rule_threshold_validation():
 def test_rule_preserves_noiseless_unitary():
     for theta in (0.3, 2.0, -1.1):
         c = circuit.parity_controlled_z(3, theta)
-        cc = compiler.apply_orientation_rule(c)
+        cc, sites = compiler.apply_orientation_rule(c)
+        assert sites == compiler.find_hidden_inverse_sites(c)
         assert phase_overlap(circuit.unitary_of(c), circuit.unitary_of(cc)) > 1 - 1e-10
 
 
@@ -210,3 +213,14 @@ def test_sk1_compile_preserves_unitary():
     n_driven = sum(1 for g in compiler.flatten_composites(c).gates
                    if g.kind in ("rot1q", "xx"))
     assert sum(1 for g in out.gates if g.kind in ("rot1q", "xx")) == 3 * n_driven
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(noisy_circuits(), st.integers(0, 2**32 - 1))
+@example((circuit.repeated_block_circuit(3, 0.7, 2, STANDARD), gates.IDEAL, {}), 5)
+def test_every_pass_keeps_the_noiseless_unitary(case, seed):
+    c = case[0]
+    U = circuit.unitary_of(c)
+    for out in (compiler.apply_orientation_rule(c)[0], compiler.randomized_compile(c, seed),
+                compiler.sk1_compile(c)):
+        assert phase_overlap(U, circuit.unitary_of(out)) > 1 - 1e-10

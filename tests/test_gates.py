@@ -208,6 +208,17 @@ def test_wrap_two_pi_rejects_non_finite_angles(theta):
         gates.wrap_two_pi(theta)
 
 
+@pytest.mark.parametrize("make, args", [
+    (gates.rot1q, (0, 1.0, math.nan)),
+    (gates.xx, (0, 1, 0.5, math.nan)),
+    (gates.xx, (0, 1, 0.5, 0.0, math.inf)),
+    (Gate, ("rot1q", (0,), (math.inf, 0.0))),
+], ids=["rot1q_phi_nan", "xx_phase_a_nan", "xx_phase_b_inf", "raw_gate_inf"])
+def test_gate_rejects_non_finite_parameters(make, args):
+    with pytest.raises(ValueError, match="angle must be finite"):
+        make(*args)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(st.floats(allow_nan=False, allow_infinity=False))
 @example(math.nextafter(2 * math.pi, 7.0))      # just past the right endpoint

@@ -172,10 +172,3 @@ def test_apply_checks_shapes_and_indices():
     with pytest.raises(ValueError):
         qmat.apply(np.eye(2), (0,), np.eye(4), 3)  # rows do not match n
 
-
-def test_phase_overlap(rng):
-    U = random_unitary(rng, 4)
-    assert abs(1.0 - qmat.phase_overlap(U, np.exp(0.7j) * U)) < 1e-10
-    assert qmat.phase_overlap(U, random_unitary(rng, 4)) < 1 - 1e-10
-    with pytest.raises(ValueError, match="shape mismatch"):
-        qmat.phase_overlap(U, np.eye(2))
