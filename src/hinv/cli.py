@@ -69,7 +69,8 @@ _NOISE_FIELDS = {
     "delta_detune": ("delta_detune", float),
 }
 
-_MAX_WIDTH = int(math.log2(circuit.MAX_DENSE_DIM))
+# widest sweep register: a schema rule, not a cost limit (ladder_overlap is O(n))
+_MAX_WIDTH = 10
 _KINDS = {str: "a string", int: "an integer", float: "a finite number",
           list: "a non-empty list"}
 
@@ -134,19 +135,21 @@ def _pmap(fn, items, workers):
 def _parity_point(args):
     """Hidden-inverse and standard ladders, plus the RC mean when ``seeds``."""
     n, theta, nm, seeds, seed0 = args
-    ideal = circuit.ideal_parity_unitary(n, theta)
 
-    def favg(c):
-        fe = analytics.entanglement_fidelity(ideal, circuit.unitary_of(c, nm))
+    def favg(fe):
         return analytics.average_from_entanglement(fe, n)
 
     standard = circuit.parity_controlled_z(n, theta)
     hidden = circuit.parity_controlled_z(
         n, theta, [gates.STANDARD] * (n - 1) + [gates.INVERSE] * (n - 1))
-    row = [theta, favg(hidden), favg(standard)]
+    row = [theta] + [favg(abs(circuit.ladder_overlap(c, theta, nm)) ** 2)
+                     for c in (hidden, standard)]
     if not seeds:  # a width sweep: rows are keyed by (n, theta)
         return [n] + row
-    rc = sum(favg(compiler.randomized_compile(standard, seed0 + s)) for s in range(seeds))
+    # the twirl Paulis break the ladder form, so the RC mean stays dense
+    ideal = circuit.ideal_parity_unitary(n, theta)
+    rc = sum(favg(analytics.entanglement_fidelity(ideal, circuit.unitary_of(
+        compiler.randomized_compile(standard, seed0 + s), nm))) for s in range(seeds))
     return row + [rc / seeds]
 
 

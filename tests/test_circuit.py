@@ -1,8 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from hinv import channels, circuit, gates, qmat
+from hinv import analytics, channels, circuit, compiler, gates, qmat
+from hinv.analytics import MINUS, PLUS
 from hinv.circuit import HIDDEN_INVERSE
 from hinv.gates import INVERSE, STANDARD, NoiseModel
 
@@ -118,6 +122,94 @@ def test_unitary_of_matches_manual_product(rng):
 def test_unitary_of_dimension_guard():
     with pytest.raises(ValueError):
         circuit.unitary_of(circuit.Circuit(11, []))
+
+
+# --- ladder_overlap ---------------------------------------------------------------
+
+@st.composite
+def noisy_ladders(draw):
+    """A parity ladder of width 2..8 with random orientations, its angle, and
+    a noise model with all four knobs set."""
+    n = draw(st.integers(2, 8))
+    theta = draw(st.floats(-np.pi, np.pi, allow_nan=False))
+    orientations = draw(st.lists(st.sampled_from([STANDARD, INVERSE]),
+                                 min_size=2 * (n - 1), max_size=2 * (n - 1)))
+    knob = st.floats(-0.1, 0.1, allow_nan=False)
+    nm = NoiseModel(eps_2q=draw(knob), eps_1q=draw(knob), phi_diff=draw(knob),
+                    delta_detune=draw(knob))
+    return circuit.parity_controlled_z(n, theta, orientations), theta, nm
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(noisy_ladders())
+def test_ladder_overlap_matches_dense_oracle(case):
+    c, theta, nm = case
+    want = analytics.entanglement_fidelity(circuit.ideal_parity_unitary(c.n, theta),
+                                           circuit.unitary_of(c, nm))
+    assert abs(abs(circuit.ladder_overlap(c, theta, nm)) ** 2 - want) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [12, 30, 60])
+def test_ladder_overlap_past_the_dense_cap(n, rng):
+    # widths no dense operator reaches.  Under pure overrotation a control
+    # whose two CNOTs differ in orientation is a hidden-inverse pair, and
+    # one whose two agree is a standard pair, so beside the two uniform
+    # lists, a random mix of pairs per control checks that each forward
+    # gate meets its own return gate.
+    std, hid = both_orientation_lists(n)
+    pairs = {PLUS: [(STANDARD, INVERSE), (INVERSE, STANDARD)],
+             MINUS: [(STANDARD, STANDARD), (INVERSE, INVERSE)]}
+    cases = [(hid, PLUS), (std, MINUS)]
+    for sign in (PLUS, MINUS):
+        per_control = [pairs[sign][k] for k in rng.integers(0, 2, n - 1)]
+        cases.append(([a for a, _ in per_control] + [b for _, b in reversed(per_control)],
+                      sign))
+    for eps in (0.02, 0.1):
+        nm = NoiseModel(eps_2q=eps)
+        for theta in (-np.pi, -2.1, 0.0, 0.7, np.pi / 2):
+            for orientations, sign in cases:
+                c = circuit.parity_controlled_z(n, theta, orientations)
+                got = abs(circuit.ladder_overlap(c, theta, nm)) ** 2
+                assert abs(got - analytics.exact_ladder_fe(theta, eps, n, sign)) <= 1e-12
+
+
+def _twirled_ladder():
+    """An RC-twirled 3-qubit ladder, and the index of its first frame Pauli,
+    which sits on a control."""
+    c = compiler.randomized_compile(circuit.parity_controlled_z(3, 0.4), 3)
+    first = next(i for i, g in enumerate(c.gates) if g.kind.startswith("pauli"))
+    assert c.gates[first].qubits[0] != 2
+    return c, first
+
+
+@pytest.mark.parametrize("case", ["gate_on_control_between_ladders",
+                                  "return_ladder_out_of_order",
+                                  "two_qubit_gate_misses_target", "repeated_control",
+                                  "rc_twirled_ladder"])
+def test_ladder_overlap_refuses_other_circuits(case):
+    cx, vz = gates.cnot, gates.virtual_z(2, 0.4)
+    c, bad = {
+        "gate_on_control_between_ladders":
+            (circuit.Circuit(3, [cx(0, 2), cx(1, 2), vz, gates.rot1q(0, 0.1, 0.0),
+                                 cx(1, 2), cx(0, 2)]), 3),
+        "return_ladder_out_of_order":
+            (circuit.Circuit(3, [cx(0, 2), cx(1, 2), vz, cx(0, 2), cx(1, 2)]), 3),
+        "two_qubit_gate_misses_target":
+            (circuit.Circuit(3, [cx(0, 2), gates.xx(0, 1, 0.3), vz, cx(1, 2),
+                                 cx(0, 2)]), 1),
+        "repeated_control":
+            (circuit.Circuit(3, [cx(0, 2), cx(0, 2), vz, cx(0, 2), cx(0, 2)]), 1),
+        "rc_twirled_ladder": _twirled_ladder(),
+    }[case]
+    g = c.gates[bad]
+    with pytest.raises(ValueError, match=re.escape(f"gate {bad} ({g.kind} on {g.qubits})")):
+        circuit.ladder_overlap(c, 0.4)
+
+
+def test_ladder_overlap_refuses_too_few_gates():
+    with pytest.raises(ValueError, match="not a parity ladder: 3 gates on 3 qubits"):
+        circuit.ladder_overlap(circuit.Circuit(
+            3, [gates.cnot(0, 2), gates.virtual_z(2, 0.4), gates.cnot(0, 2)]), 0.4)
 
 
 # --- run_density / run_ptm ------------------------------------------------------

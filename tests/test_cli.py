@@ -358,6 +358,26 @@ def test_fast_shipped_configs_reproduce_recorded_csvs(tmp_path, name):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == RECORDED_SHA256[name]
 
 
+# sha256 of each shipped width sweep's CSV, as recorded in CHANGES.md
+WIDTH_SWEEP_SHA256 = {
+    "overrotation_sweep": "cff0ddc46d47ecdcd3f58c1140cdd753af5f60ee1523daca8848175c40654659",
+    "phase_sweep": "e1cf30cc42cd8f925236810fbf1d9799098581b8c0486bcd8b8d4f434aea33f2",
+}
+
+
+@pytest.mark.parametrize("name", WIDTH_SWEEP_SHA256)
+def test_shipped_width_sweeps_reproduce_recorded_csvs_with_any_worker_count(
+        tmp_path, monkeypatch, name):
+    csvs = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("HINV_WORKERS", workers)
+        out = tmp_path / f"workers{workers}.csv"
+        assert run(["sweep", str(CONFIGS / f"{name}.json"), "-o", str(out)]) == 0
+        csvs.append(out.read_bytes())
+    assert hashlib.sha256(csvs[0]).hexdigest() == WIDTH_SWEEP_SHA256[name]
+    assert csvs[1] == csvs[0]
+
+
 # A circuit with nested, repeated and adjacent conjugation sites, and the
 # sha256 of (output file, stdout) of each pass on it, recorded before the
 # hidden pass shared its site search with the report.
