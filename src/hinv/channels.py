@@ -47,10 +47,6 @@ class PTM:
         object.__setattr__(self, "mat", mat)
 
 
-def identity_ptm(n: int) -> PTM:
-    return PTM(n, np.eye(4**n))
-
-
 def ptm_of_unitary(U) -> PTM:
     """PTM of the conjugation ``rho -> U rho U^dag``; orthogonal by construction."""
     U = np.asarray(U, dtype=complex)
@@ -58,7 +54,7 @@ def ptm_of_unitary(U) -> PTM:
     n = int(round(np.log2(dim)))
     if 2**n != dim:
         raise ValueError(f"dimension {dim} is not a power of two")
-    if not qmat.is_unitary(U, 1e-10):
+    if not qmat.is_unitary(U):
         raise ValueError("ptm_of_unitary requires a unitary matrix")
     P = qmat.pauli_basis(n)
     conj = np.einsum("ab,jbc,dc->jad", U, P, U.conj(), optimize=True)
@@ -116,14 +112,14 @@ def choi_min_eigenvalue(R: PTM) -> float:
     return float(np.linalg.eigvalsh(C)[0])
 
 
-def is_trace_preserving(R: PTM, tol: float = TP_TOL) -> bool:
+def is_trace_preserving(R: PTM) -> bool:
     e1 = np.zeros(4**R.n)
     e1[0] = 1.0
-    return bool(np.abs(R.mat[0] - e1).max() < tol)
+    return bool(np.abs(R.mat[0] - e1).max() < TP_TOL)
 
 
-def is_cptp(R: PTM, cp_tol: float = CP_EIG_TOL, tp_tol: float = TP_TOL) -> bool:
-    return is_trace_preserving(R, tp_tol) and choi_min_eigenvalue(R) >= cp_tol
+def is_cptp(R: PTM) -> bool:
+    return is_trace_preserving(R) and choi_min_eigenvalue(R) >= CP_EIG_TOL
 
 
 def pauli_vector(rho, n: int) -> np.ndarray:
@@ -155,25 +151,3 @@ def write_csv(R: PTM, path) -> None:
         fh.write(",".join(labels) + "\n")
         for row in R.mat:
             fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
-
-
-def read_csv(path) -> PTM:
-    rows = []
-    n = None
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                for tok in line.split():
-                    if tok.startswith("n="):
-                        n = int(tok[2:])
-                continue
-            if line[0].isalpha() or line[0] == "I":
-                continue  # header row of labels
-            rows.append([float(x) for x in line.split(",")])
-    mat = np.array(rows)
-    if n is None:
-        n = int(round(np.log2(mat.shape[0]) / 2))
-    return PTM(n, mat)

@@ -9,9 +9,9 @@ Two execution pipelines are provided and must agree:
   state's Pauli vector, which is how long circuits with pre-characterized
   gates are simulated cheaply.
 
-For a parity ladder, :func:`ladder_overlap` contracts the realized circuit
-against ``exp(-i theta/2 Z^(x)n)`` in O(n) 2x2 transfer steps, with no
-dense operator; :func:`unitary_of` is its oracle.
+:func:`ladder_overlap` takes the arguments of :func:`parity_controlled_z`
+and contracts that realized ladder against ``exp(-i theta/2 Z^(x)n)`` in
+O(n) 2x2 transfer steps, with no dense operator; :func:`unitary_of` is its oracle.
 
 The plain-text serialization is line oriented, one gate per line:
 
@@ -54,9 +54,6 @@ class Circuit:
         for g in self.gates:
             if not all(0 <= q < self.n for q in g.qubits):
                 raise ValueError(f"gate {g} has a qubit outside [0, {self.n})")
-
-    def __len__(self):
-        return len(self.gates)
 
 
 def parity_controlled_z(n: int, theta: float, orientations=None) -> Circuit:
@@ -109,47 +106,22 @@ def ideal_parity_unitary(n: int, theta: float) -> np.ndarray:
     return np.diag(np.exp(1j * phases))
 
 
-def ladder_overlap(c: Circuit, theta: float, nm: NoiseModel = IDEAL) -> complex:
-    """``Tr[U^dag V] / 2**n`` for ``U = exp(-i theta/2 Z^(x)n)`` and the
-    realized product ``V`` of the parity ladder ``c``, in O(n).
+def ladder_overlap(n: int, theta: float, orientations=None,
+                   nm: NoiseModel = IDEAL) -> complex:
+    """``Tr[U^dag V] / 2**n`` in O(n), for ``U = exp(-i theta/2 Z^(x)n)`` and
+    the realized product ``V`` of ``parity_controlled_z(n, theta, orientations)``.
 
-    ``c`` must have the form :func:`parity_controlled_z` builds: n-1
-    two-qubit gates from distinct controls onto one target, single-qubit
-    gates on the target, then two-qubit gates on the same controls in
-    reverse order; anything else raises ``ValueError`` naming the first
-    gate that breaks it.  Since ``U^dag = cos(theta/2) I + i sin(theta/2)
-    Z^(x)n`` and control j is touched only by its gates A_j and B_j,
-    ``Tr[(Z^s)^(x)n V]`` for s = 0, 1 is a chain of 2x2 transfer matrices
-    on the target, ``T_j = Tr_j[(Z^s (x) I) B_j (I (x) T_j+1) A_j] / 2``,
-    started from the realized middle gates.  :func:`unitary_of` is its
-    dense oracle.
+    Since ``U^dag = cos(theta/2) I + i sin(theta/2) Z^(x)n`` and control j
+    is touched only by its gates A_j and B_j, ``Tr[(Z^s)^(x)n V]`` for
+    s = 0, 1 is a chain of 2x2 transfer matrices on the target,
+    ``T_j = Tr_j[(Z^s (x) I) B_j (I (x) T_j+1) A_j] / 2``, started from the
+    realized middle gate.  :func:`unitary_of` is its dense oracle.
     """
-    gs, m = c.gates, c.n - 1
-    if m < 1 or len(gs) < 2 * m:
-        raise ValueError(f"not a parity ladder: {len(gs)} gates on {c.n} qubits")
-
-    def refuse(i, why):
-        raise ValueError(f"not a parity ladder: gate {i} ({gs[i].kind} on "
-                         f"{gs[i].qubits}) {why}")
-
-    target = gs[0].qubits[-1]
-    controls = []
-    for i, g in enumerate(gs[:m]):
-        if len(g.qubits) != 2 or g.qubits[1] != target or g.qubits[0] in controls:
-            refuse(i, "is not a two-qubit gate from a new control onto the target")
-        controls.append(g.qubits[0])
-    mid = np.eye(2, dtype=complex)
-    for i in range(m, len(gs) - m):
-        if gs[i].qubits != (target,):
-            refuse(i, f"is not a single-qubit gate on the target {target}")
-        mid = gates.realize(gs[i], nm) @ mid
-    for i, q in zip(range(len(gs) - m, len(gs)), reversed(controls)):
-        if gs[i].qubits != (q, target):
-            refuse(i, f"should act on {(q, target)} to mirror the first ladder")
+    gs = parity_controlled_z(n, theta, orientations).gates
     # sign[s, b] = <b|Z^s|b>; T[s] carries the s = 0 and s = 1 chains at once
     sign = np.array([[1.0, 1.0], [1.0, -1.0]])
-    T = np.stack([mid, mid])
-    for j in reversed(range(m)):
+    T = np.stack([gates.realize(gs[n - 1], nm)] * 2)
+    for j in reversed(range(n - 1)):
         A = gates.realize(gs[j], nm).reshape(2, 2, 2, 2)
         B = gates.realize(gs[-1 - j], nm).reshape(2, 2, 2, 2)
         T = np.einsum("sa,atbu,suv,bvaw->stw", sign, B, T, A) / 2

@@ -117,7 +117,7 @@ def pauli(q: int, label: str) -> list[Gate]:
     label = label.upper()
     if label == "I":
         return []
-    if label not in "XYZ":
+    if label not in ("X", "Y", "Z"):
         raise ValueError(f"bad Pauli label {label!r}")
     return [Gate("pauli_" + label.lower(), (q,))]
 

@@ -45,14 +45,14 @@ def kron(factors) -> np.ndarray:
     return reduce(np.kron, [np.asarray(f, dtype=complex) for f in factors])
 
 
-def is_hermitian(H, tol: float = 1e-10) -> bool:
+def is_hermitian(H) -> bool:
     H = np.asarray(H)
-    return bool(np.abs(H - H.conj().T).max() < tol)
+    return bool(np.abs(H - H.conj().T).max() < 1e-10)
 
 
-def is_unitary(U, tol: float = 1e-12) -> bool:
+def is_unitary(U) -> bool:
     U = np.asarray(U)
-    return bool(np.abs(U.conj().T @ U - np.eye(U.shape[0])).max() < tol)
+    return bool(np.abs(U.conj().T @ U - np.eye(U.shape[0])).max() < 1e-10)
 
 
 def herm_exp(H, s: float) -> np.ndarray:
@@ -64,7 +64,7 @@ def herm_exp(H, s: float) -> np.ndarray:
     Raises ``ValueError`` if ``H`` is not Hermitian to 1e-10.
     """
     H = np.asarray(H, dtype=complex)
-    if not is_hermitian(H, 1e-10):
+    if not is_hermitian(H):
         raise ValueError("herm_exp requires a Hermitian matrix")
     w, V = np.linalg.eigh(H)
     return (V * np.exp(-1j * s * w)) @ V.conj().T

@@ -56,7 +56,7 @@ def test_compose_identity_and_inverse(rng):
     U = random_unitary(rng, 4)
     R = channels.ptm_of_unitary(U)
     Rd = channels.ptm_of_unitary(U.conj().T)
-    ident = channels.compose_ptms([R, channels.identity_ptm(2)])
+    ident = channels.compose_ptms([R, PTM(2, np.eye(16))])
     assert np.abs(ident.mat - R.mat).max() < 1e-14
     assert np.abs(channels.compose_ptms([R, Rd]).mat - np.eye(16)).max() < 1e-10
 
@@ -79,7 +79,7 @@ def test_sk1_composition_reproduces_composite_unitary():
 
 
 def test_avg_fidelity_identity_and_mixing():
-    ident = channels.identity_ptm(1)
+    ident = PTM(1, np.eye(4))
     assert channels.avg_fidelity_from_ptm(ident, ident) == 1.0
     mix = channels.depolarizing_ptm(1, 0.0)
     assert abs(channels.avg_fidelity_from_ptm(mix, ident) - 0.5) < 1e-15
@@ -134,6 +134,6 @@ def test_csv_round_trip(tmp_path):
     R = channels.ptm_of_unitary(gates.xx_unitary(np.pi / 4, 0.05))
     path = tmp_path / "ms.csv"
     channels.write_csv(R, path)
-    back = channels.read_csv(path)
-    assert back.n == 2
-    assert np.abs(back.mat - R.mat).max() < 1e-15
+    assert path.read_text().startswith("# ptm n=2 ")
+    back = np.loadtxt(path, delimiter=",", skiprows=2)
+    assert np.abs(back - R.mat).max() < 1e-15

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hinv import analytics, channels, circuit, compiler, gates, qmat
+from hinv import analytics, channels, circuit, gates, qmat
 from hinv.analytics import MINUS, PLUS
 from hinv.circuit import HIDDEN_INVERSE
 from hinv.gates import INVERSE, STANDARD, NoiseModel
@@ -53,8 +53,13 @@ def test_pcz_four_qubits_matches_exponential_oracle():
 
 
 def test_pcz_bad_orientation_count():
-    with pytest.raises(ValueError):
-        circuit.parity_controlled_z(3, 0.1, [STANDARD] * 3)
+    # ladder_overlap takes the same arguments and refuses the same way
+    for n, orientations in [(1, None), (3, [STANDARD] * 3),
+                            (3, [STANDARD, "sideways", STANDARD, STANDARD])]:
+        with pytest.raises(ValueError) as want:
+            circuit.parity_controlled_z(n, 0.1, orientations)
+        with pytest.raises(ValueError, match=re.escape(str(want.value))):
+            circuit.ladder_overlap(n, 0.1, orientations)
 
 
 def test_ideal_parity_unitary_agrees_with_expm():
@@ -137,16 +142,18 @@ def noisy_ladders(draw):
     knob = st.floats(-0.1, 0.1, allow_nan=False)
     nm = NoiseModel(eps_2q=draw(knob), eps_1q=draw(knob), phi_diff=draw(knob),
                     delta_detune=draw(knob))
-    return circuit.parity_controlled_z(n, theta, orientations), theta, nm
+    return n, theta, orientations, nm
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(noisy_ladders())
 def test_ladder_overlap_matches_dense_oracle(case):
-    c, theta, nm = case
-    want = analytics.entanglement_fidelity(circuit.ideal_parity_unitary(c.n, theta),
+    n, theta, orientations, nm = case
+    c = circuit.parity_controlled_z(n, theta, orientations)
+    want = analytics.entanglement_fidelity(circuit.ideal_parity_unitary(n, theta),
                                            circuit.unitary_of(c, nm))
-    assert abs(abs(circuit.ladder_overlap(c, theta, nm)) ** 2 - want) <= 1e-12
+    got = abs(circuit.ladder_overlap(n, theta, orientations, nm)) ** 2
+    assert abs(got - want) <= 1e-12
 
 
 @pytest.mark.parametrize("n", [12, 30, 60])
@@ -168,48 +175,8 @@ def test_ladder_overlap_past_the_dense_cap(n, rng):
         nm = NoiseModel(eps_2q=eps)
         for theta in (-np.pi, -2.1, 0.0, 0.7, np.pi / 2):
             for orientations, sign in cases:
-                c = circuit.parity_controlled_z(n, theta, orientations)
-                got = abs(circuit.ladder_overlap(c, theta, nm)) ** 2
+                got = abs(circuit.ladder_overlap(n, theta, orientations, nm)) ** 2
                 assert abs(got - analytics.exact_ladder_fe(theta, eps, n, sign)) <= 1e-12
-
-
-def _twirled_ladder():
-    """An RC-twirled 3-qubit ladder, and the index of its first frame Pauli,
-    which sits on a control."""
-    c = compiler.randomized_compile(circuit.parity_controlled_z(3, 0.4), 3)
-    first = next(i for i, g in enumerate(c.gates) if g.kind.startswith("pauli"))
-    assert c.gates[first].qubits[0] != 2
-    return c, first
-
-
-@pytest.mark.parametrize("case", ["gate_on_control_between_ladders",
-                                  "return_ladder_out_of_order",
-                                  "two_qubit_gate_misses_target", "repeated_control",
-                                  "rc_twirled_ladder"])
-def test_ladder_overlap_refuses_other_circuits(case):
-    cx, vz = gates.cnot, gates.virtual_z(2, 0.4)
-    c, bad = {
-        "gate_on_control_between_ladders":
-            (circuit.Circuit(3, [cx(0, 2), cx(1, 2), vz, gates.rot1q(0, 0.1, 0.0),
-                                 cx(1, 2), cx(0, 2)]), 3),
-        "return_ladder_out_of_order":
-            (circuit.Circuit(3, [cx(0, 2), cx(1, 2), vz, cx(0, 2), cx(1, 2)]), 3),
-        "two_qubit_gate_misses_target":
-            (circuit.Circuit(3, [cx(0, 2), gates.xx(0, 1, 0.3), vz, cx(1, 2),
-                                 cx(0, 2)]), 1),
-        "repeated_control":
-            (circuit.Circuit(3, [cx(0, 2), cx(0, 2), vz, cx(0, 2), cx(0, 2)]), 1),
-        "rc_twirled_ladder": _twirled_ladder(),
-    }[case]
-    g = c.gates[bad]
-    with pytest.raises(ValueError, match=re.escape(f"gate {bad} ({g.kind} on {g.qubits})")):
-        circuit.ladder_overlap(c, 0.4)
-
-
-def test_ladder_overlap_refuses_too_few_gates():
-    with pytest.raises(ValueError, match="not a parity ladder: 3 gates on 3 qubits"):
-        circuit.ladder_overlap(circuit.Circuit(
-            3, [gates.cnot(0, 2), gates.virtual_z(2, 0.4), gates.cnot(0, 2)]), 0.4)
 
 
 # --- run_density / run_ptm ------------------------------------------------------

@@ -148,7 +148,7 @@ def test_ptm_subcommand(tmp_path):
         {"calibrate": {"delta": 2 * np.pi * 20e3, "n_fock": 9}}))
     out = tmp_path / "ptm.csv"
     assert run(["ptm", str(spec), str(out), "--steps-per-period", "120"]) == 0
-    R = channels.read_csv(out)
+    R = channels.PTM(2, np.loadtxt(out, delimiter=",", skiprows=2))
     ideal = channels.ptm_of_unitary(gates.xx_unitary(np.pi / 4))
     assert channels.avg_fidelity_from_ptm(R, ideal) > 1 - 1e-4
 
@@ -306,11 +306,21 @@ def _diverging_rk4(monkeypatch):
     return ["ptm", {"calibrate": {"n_fock": 4, "gamma_heat": 1e12}}]
 
 
+def _out_of_memory(monkeypatch):
+    # what numpy raises for an allocation such as {"calibrate": {"n_fock": 3000}};
+    # raised here, since a real request that large can succeed on a large host
+    def fail(*args):
+        raise MemoryError("Unable to allocate 34.3 GiB")
+    monkeypatch.setattr(lindblad, "ms_gate_channel", fail)
+    return ["ptm", {"calibrate": {"n_fock": 3}}]
+
+
 @pytest.mark.parametrize("setup, fragment", [
     (_out_of_range_point, "out of [0, 1]"),
     (_non_cptp_channel, "is not CPTP"),
     (_trace_drift, "trace drift"),
     (_diverging_rk4, "trace drift nan"),
+    (_out_of_memory, "Unable to allocate"),
 ])
 def test_numeric_failure_exits_3(tmp_path, capsys, monkeypatch, setup, fragment):
     cmd, content = setup(monkeypatch)

@@ -150,6 +150,12 @@ def test_pauli_frame_gates_exact():
     assert gates.pauli(0, "I") == []
 
 
+@pytest.mark.parametrize("label", ["XY", "", "W"])
+def test_pauli_rejects_bad_labels(label):
+    with pytest.raises(ValueError, match="bad Pauli label"):
+        gates.pauli(0, label)
+
+
 def test_realized_arrays_are_read_only():
     # realize is memoized, so every caller shares the returned array; the
     # frame Paulis are the qmat constants that also build the Pauli basis
