@@ -204,6 +204,9 @@ def build_sweep(cfg: dict):
             if not (cfg["delta"] > 0 and cfg["steps_per_period"] >= 1
                     and min(cfg["gamma_list"]) >= 0):
                 raise ConfigError("need delta > 0, steps_per_period >= 1, gamma >= 0")
+            for e in cfg["eps_amplitude_list"]:  # every pulse within the RK4 step limit
+                for s in lindblad.sk1_pulse_specs(delta=cfg["delta"], amp_scale=1 + e):
+                    lindblad._n_steps(s, cfg["steps_per_period"])
             tasks = [(float(e), float(g), float(cfg["delta"]), cfg["steps_per_period"])
                      for e in cfg["eps_amplitude_list"] for g in cfg["gamma_list"]]
             return (["eps_amplitude", "gamma_heat", "f_raw", "f_sk1", "improvement"],
@@ -334,6 +337,7 @@ def main(argv=None) -> int:
                                   f"got {args.steps_per_period}")
             with _config_stage(f"cannot read spec {args.spec}"):
                 spec = lindblad.load_spec(args.spec)
+                lindblad._n_steps(spec, args.steps_per_period)  # the RK4 step limit
             channels.write_csv(lindblad.ms_gate_channel(spec, args.steps_per_period),
                                args.output)
     except Exception as exc:

@@ -25,16 +25,20 @@ delta^2`` (the Magnus series terminates), which :func:`xx_gate_spec` uses
 for calibration.
 
 Integration is fixed-step RK4; accuracy is controlled by
-``steps_per_period`` (default 400 steps per shortest drive period) and
-guarded by the step-halving convergence check in the test suite.  Each
-stage is ``X + X^dag + D(rho)`` with ``X = rho (iH(t) + S)``, one GEMM over
-the flattened stack.  ``S = -(1/2) sum L^dag L`` is diagonal, and the
-dissipator ``D(rho) = sum L rho L^dag`` is elementwise, because each
-collapse operator is diagonal (a real weight matrix times rho) or one Fock
-ladder (two weighted shifts along the Fock axes).  ``X^dag`` equals
-``(-iH + S) rho`` only for Hermitian rho, so only Hermitian matrices are
-evolved: :func:`ms_gate_channel` evolves Pauli strings tensored with a
-diagonal mode state (and their traced-out images), and
+``steps_per_period`` (default 400 steps per shortest drive period, at most
+``MAX_STEPS`` per mode round) and guarded by the step-halving convergence
+check in the test suite.  H(t) and each collapse operator respect the parity
+``Pi = Z_1 Z_2 (-1)^{a^dag a}``, whose two sectors hold ``h = 2 nf`` states
+each, ordered by position ``2n + s_1``.  A matrix is an even part (sector
+blocks ee, oo) plus an odd part (eo, oe); only nonzero parts are evolved.
+Each stage is ``X + X^dag + D(rho)``, with ``X = rho_k (iH_k(t) + S_k)`` one
+GEMM per column sector k; ``X^dag`` swaps an odd part's two blocks.  ``S =
+-(1/2) sum L^dag L`` is diagonal and ``D(rho) = sum L rho L^dag`` elementwise:
+a real weight per entry for the diagonal operators, and for heating a shift
+between sectors (``a^dag`` maps position p to p + 2 of the other sector).
+``X^dag`` equals ``(-iH + S) rho`` only for Hermitian rho, so only Hermitian
+matrices are evolved: :func:`ms_gate_channel` evolves Pauli strings tensored
+with a diagonal mode state (and their traced-out images), and
 :func:`lindblad_evolve` rejects non-Hermitian input.
 """
 
@@ -51,6 +55,7 @@ from .channels import PTM
 
 DEFAULT_N_FOCK = 13
 DEFAULT_STEPS_PER_PERIOD = 400
+MAX_STEPS = 100_000          # RK4 steps per mode round
 
 
 @dataclass(frozen=True)
@@ -203,18 +208,18 @@ def _tone_phases(spec: LindbladSpec, mode_index: int, times) -> np.ndarray:
                      for ion in (0, 1) for sign in (-1.0, 1.0)], axis=-1)
 
 
-def _dissipators(spec: LindbladSpec):
-    """Elementwise collapse operators on 2 x 2 x Fock: ``(weights, static, heat)``.
+def _dissipators(spec: LindbladSpec, order: np.ndarray):
+    """Elementwise collapse operators in sector ``order``: ``(weights, static, heat)``.
 
     ``weights * rho`` is ``sum L rho L^dag`` over the diagonal operators
     (``a^dag a``, ``Z_1 + Z_2``); ``static`` is the diagonal of ``-(1/2) sum
-    L^dag L``.  ``heat[i, j] = Gamma sqrt(n_i n_j)`` weighs heating's
-    ``a^dag rho a`` and ``a rho a^dag``, at the Fock numbers ``n`` of indices
-    ``1:``.  ``weights`` or ``heat`` is None when no channel contributes.
+    L^dag L``.  ``heat[u - 4 nf - 2] = Gamma sqrt(n_i n_j)``, at flat index u
+    = (i, j) of an h x h sector block, weighs heating's ``a^dag rho a`` and
+    ``a rho a^dag``.  ``weights`` or ``heat`` is None when no channel does.
     """
     nf = spec.n_fock
-    fock = np.tile(np.arange(nf, dtype=float), 4)       # a^dag a per basis index
-    zsum = np.repeat([2.0, 0.0, 0.0, -2.0], nf)          # Z_1 + Z_2 per basis index
+    fock = np.tile(np.arange(nf, dtype=float), 4)[order]   # a^dag a per basis index
+    zsum = np.repeat([2.0, 0.0, 0.0, -2.0], nf)[order]     # Z_1 + Z_2 per basis index
     weights = np.zeros((4 * nf, 4 * nf))
     static = np.zeros(4 * nf)
     for rate, diag in [(2.0 / spec.tau_m, fock),
@@ -226,8 +231,8 @@ def _dissipators(spec: LindbladSpec):
         g = spec.gamma_heat
         # a^dag a + a a^dag, with the truncated a a^dag = diag(1, ..., nf - 1, 0)
         static -= 0.5 * g * (fock + np.where(fock < nf - 1, fock + 1, 0.0))
-        root = np.sqrt(fock[1:])
-        heat = g * np.outer(root, root)
+        root = np.sqrt(fock[:2 * nf])
+        heat = g * np.outer(root, root).ravel()[4 * nf + 2:]
     return (weights if weights.any() else None), static, heat
 
 
@@ -241,7 +246,10 @@ def _n_steps(spec: LindbladSpec, steps_per_period: int) -> int:
                 omegas.append(abs(seg.delta - mode.offset) + abs(spec.stark[ion]))
                 omegas.append(mode.eta[ion] * max(spec.omega_r[ion], spec.omega_b[ion]))
     period = 2 * math.pi / max(omegas)
-    return max(50, math.ceil(spec.total_time / period * steps_per_period))
+    steps = max(50, math.ceil(spec.total_time / period * steps_per_period))
+    if steps > MAX_STEPS:
+        raise ValueError(f"{steps} RK4 steps per mode round exceed the limit {MAX_STEPS}")
+    return steps
 
 
 # a diverging run is reported once, as NaN or inf by the callers' trace-drift guards
@@ -250,35 +258,55 @@ def _evolve_batch(rhos: np.ndarray, spec: LindbladSpec, mode_index: int,
                   steps_per_period: int) -> np.ndarray:
     """RK4 integration of the master equation for a stack of Hermitian matrices.
 
-    Each stage is ``X + X^dag + D(rho)`` (see the module docstring); the
+    Stages run on the nonzero parity parts (see the module docstring); the
     tone phases of all ``2 steps + 1`` stage times are computed once.
     """
-    nf = spec.n_fock
-    dim = 4 * nf
-    weights, static, heat = _dissipators(spec)
+    nf, h = spec.n_fock, 2 * spec.n_fock
+    # basis index (2 s1 + s2) nf + n: sector k = (s1 + s2 + n) % 2, then position 2n + s1
+    n, s1 = divmod(np.arange(h), 2)
+    order = np.concatenate([(2 * s1 + (k + s1 + n) % 2) * nf + n for k in (0, 1)])
+    weights, static, heat = _dissipators(spec, order)
     # iH + S = sum_k f_k (i op_k) + conj(f_k) (i op_k^dag) + S: a 9-term basis
-    ops = _drive_ops(spec, mode_index)
+    ops = _drive_ops(spec, mode_index)[:, order[:, None], order]
     basis = np.concatenate([1j * ops, 1j * ops.conj().transpose(0, 2, 1),
-                            np.diag(static)[None].astype(complex)]).reshape(9, dim * dim)
+                            np.diag(static)[None].astype(complex)])
+    if basis[:, :h, h:].any() or basis[:, h:, :h].any():
+        raise ValueError("a drive term breaks the parity symmetry Pi = Z1 Z2 (-1)^(a^dag a)")
+    blocks = np.stack([basis[:, :h, :h], basis[:, h:, h:]]).reshape(2, 9, h * h)
 
     steps = _n_steps(spec, steps_per_period)
     dt = spec.total_time / steps
     f = np.exp(-1j * _tone_phases(spec, mode_index, 0.5 * dt * np.arange(2 * steps + 1)))
     coeffs = np.concatenate([f, f.conj(), np.ones((len(f), 1))], axis=1)
 
+    # parts in order (even, then odd); block k of a part is sector block (k ^ odd, k)
+    x = np.asarray(rhos, complex)[:, order[:, None], order].reshape(len(rhos), 2, h, 2, h)
+    odds, bs = np.nonzero([x[:, o, :, 0].any((1, 2)) | x[:, 1 - o, :, 1].any((1, 2))
+                           for o in (0, 1)])
+    even = np.count_nonzero(odds == 0)
+    cols = np.arange(2)[:, None]
+    if weights is not None:
+        weights = weights.reshape(2, h, 2, h)[cols ^ odds, :, cols]
+
     def rhs(stage, r):
-        X = (r.reshape(-1, dim) @ (coeffs[stage] @ basis).reshape(dim, dim)).reshape(r.shape)
-        out = np.ascontiguousarray(X.transpose(0, 2, 1))
-        np.conjugate(out, out=out)
+        # C order, so the reshapes written through below are views
+        X, out = np.empty(r.shape, complex), np.empty(r.shape, complex)
+        for k in (0, 1):
+            np.matmul(r[k].reshape(-1, h), (coeffs[stage] @ blocks[k]).reshape(h, h),
+                      out=X[k].reshape(-1, h))
+        # X^dag, with the blocks swapped for odd parts
+        np.conjugate(X[:, :even].transpose(0, 1, 3, 2), out=out[:, :even])
+        np.conjugate(X[::-1, even:].transpose(0, 1, 3, 2), out=out[:, even:])
         out += X
         if weights is not None:
             out += weights * r
-        if heat is not None:  # a^dag rho a: rho one Fock step up both axes; a rho a^dag: down
-            out[:, 1:, 1:] += heat * r[:, :-1, :-1]
-            out[:, :-1, :-1] += heat * r[:, 1:, 1:]
+        if heat is not None:  # a^dag rho a, a rho a^dag: the other sector, one Fock step off
+            o, s = (m.reshape(2, len(bs), h * h) for m in (out, r[::-1]))
+            o[..., 4 * nf + 2:] += heat * s[..., :-4 * nf - 2]
+            o[..., :-4 * nf - 2] += heat * s[..., 4 * nf + 2:]
         return out
 
-    r = rhos.astype(complex)
+    r = x[bs, cols ^ odds, :, cols]
     for i in range(steps):
         k1 = rhs(2 * i, r)
         k2 = rhs(2 * i + 1, r + dt / 2 * k1)
@@ -292,7 +320,9 @@ def _evolve_batch(rhos: np.ndarray, spec: LindbladSpec, mode_index: int,
         k1 += k4
         k1 *= dt / 6
         r += k1
-    return r
+    y = np.zeros_like(x)
+    y[bs, cols ^ odds, :, cols] = r
+    return y.reshape(rhos.shape)[:, np.argsort(order)[:, None], np.argsort(order)]
 
 
 def lindblad_evolve(rho0: np.ndarray, spec: LindbladSpec, mode_index: int = 0,

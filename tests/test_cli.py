@@ -259,6 +259,14 @@ BAD_INPUTS = {
                       "eta needs one value per ion, got 1"),
     "eta_three_entries": ("ptm", {**FULL_SPEC, "modes": [{"eta": [0.1, 0.1, 0.1]}]},
                           "eta needs one value per ion, got 3"),
+    "rk4_steps_over_limit": ("ptm",
+                             {**FULL_SPEC, "segments": [{"duration": 1.0, "delta": 1e6}]},
+                             "63661978 RK4 steps per mode round exceed the limit 100000"),
+    "sk1_steps_over_limit": ("sweep",
+                             {"experiment": "sk1_viability", "steps_per_period": 10**6},
+                             "1000000 RK4 steps per mode round exceed the limit 100000"),
+    "steps_per_period_huge": ("ptm {src} {out} --steps-per-period 1000000", SMALL_SPEC,
+                              "1000000 RK4 steps per mode round exceed the limit 100000"),
 }
 
 

@@ -6,7 +6,7 @@ import pytest
 from hinv import channels, gates, lindblad, qmat
 from hinv.lindblad import LindbladSpec, ModeSpec, Segment
 
-from conftest import dense_evolve, dense_gate_channel, kron_chain
+from conftest import I2, SX, dense_evolve, dense_gate_channel, kron_chain
 
 
 DELTA = 2 * np.pi * 20e3
@@ -227,6 +227,41 @@ def test_structured_rhs_matches_dense_oracle(spec):
         rho0 = (M + M.conj().T) / 2
         out = lindblad.lindblad_evolve(rho0, spec, 0, spp)
         assert np.abs(out - dense_evolve(rho0, spec, 0, steps)).max() < 1e-12
+
+
+@pytest.mark.parametrize("spec", ORACLE_CASES.values(), ids=ORACLE_CASES)
+def test_each_parity_part_matches_dense_oracle(spec):
+    # XX (x) thermal is purely Pi-even, XI (x) thermal purely odd, and zero has no part
+    spp = 20
+    steps = lindblad._n_steps(spec, spp)
+    nf = spec.n_fock
+    thermal = np.diag(0.4 ** np.arange(nf) * 0.6)
+    zero = np.zeros((4 * nf, 4 * nf))
+    for rho0 in (kron_chain(SX, SX, thermal), kron_chain(SX, I2, thermal), zero):
+        out = lindblad.lindblad_evolve(rho0, spec, 0, spp)
+        assert np.abs(out - dense_evolve(rho0, spec, 0, steps)).max() < 1e-12
+    assert not lindblad.lindblad_evolve(zero, spec, 0, spp).any()
+
+
+def test_drive_that_breaks_parity_is_refused(monkeypatch):
+    spec = lindblad.xx_gate_spec(delta=DELTA, n_fock=3)
+    drive_ops = lindblad._drive_ops
+
+    def with_carrier(spec, mode_index):  # a sigma_x carrier on ion 0 couples the sectors
+        ops = drive_ops(spec, mode_index)
+        ops[0] += 1e4 * kron_chain(SX, I2, np.eye(spec.n_fock))
+        return ops
+
+    monkeypatch.setattr(lindblad, "_drive_ops", with_carrier)
+    with pytest.raises(ValueError, match="Pi = Z1 Z2"):
+        lindblad.ms_gate_channel(spec, 20)
+
+
+def test_step_count_is_bounded():
+    spec = lindblad.xx_gate_spec(delta=DELTA, n_fock=3)   # one loop: steps = steps per period
+    assert lindblad._n_steps(spec, lindblad.MAX_STEPS) == lindblad.MAX_STEPS == 100_000
+    with pytest.raises(ValueError, match="100001 RK4 steps per mode round exceed"):
+        lindblad._n_steps(spec, lindblad.MAX_STEPS + 1)
 
 
 def test_step_count_must_be_positive():
