@@ -97,15 +97,6 @@ def repeated_block_circuit(n: int, theta: float, reps: int, config: str = STANDA
     return Circuit(n, sandwich + block.gates * reps + sandwich)
 
 
-def ideal_parity_unitary(n: int, theta: float) -> np.ndarray:
-    """``exp(-i theta/2 Z^(x)n)`` -- the target of the parity circuits."""
-    phases = np.empty(2**n)
-    for b in range(2**n):
-        z = 1 - 2 * (bin(b).count("1") % 2)
-        phases[b] = -0.5 * theta * z
-    return np.diag(np.exp(1j * phases))
-
-
 def ladder_overlap(n: int, theta: float, orientations=None,
                    nm: NoiseModel = IDEAL) -> complex:
     """``Tr[U^dag V] / 2**n`` in O(n), for ``U = exp(-i theta/2 Z^(x)n)`` and

@@ -9,9 +9,9 @@ Subcommands::
 A sweep config names an experiment of :data:`SCHEMAS`, the one table of
 its keys and their defaults.  Sweeps emit deterministic CSV: a header
 comment echoing the effective config, one row per grid point, 12
-significant digits.  Grid points can be dispatched to a process pool sized
-by the ``HINV_WORKERS`` environment variable (an integer >= 1, default 1);
-output order is independent of the worker count.
+significant digits.  Grid points can be dispatched to a process pool of
+``HINV_WORKERS`` processes (an integer >= 1, default 1), at most one per
+grid point and CPU; the output does not depend on the worker count.
 
 Exit codes: 0 success, 2 config error (a bad command line, input file or
 ``HINV_WORKERS``, or anything raised while building an experiment's
@@ -118,13 +118,15 @@ def _noise_from_cfg(cfg) -> gates.NoiseModel:
 def _workers() -> int:
     """The process count set by ``HINV_WORKERS`` (default 1)."""
     raw = os.environ.get("HINV_WORKERS", "1")
-    if not (raw.isdigit() and int(raw) >= 1):
+    if not (raw.isdecimal() and int(raw) >= 1):
         raise ConfigError(f"HINV_WORKERS must be an integer >= 1, got {raw!r}")
     return int(raw)
 
 
 def _pmap(fn, items, workers):
-    if workers == 1 or len(items) <= 1:
+    # the pool starts every worker at once, so ask for no more than can run
+    workers = min(workers, len(items), os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(it) for it in items]
     with ProcessPoolExecutor(max_workers=workers) as ex:
         return list(ex.map(fn, items))
@@ -133,41 +135,52 @@ def _pmap(fn, items, workers):
 # ---------------------------------------------------------------------------
 # point functions (module level, so a process pool can run them)
 
-def _parity_point(args):
-    """Hidden-inverse and standard ladders, plus the RC mean when ``seeds``."""
-    n, theta, nm, seeds, seed0 = args
-
-    def favg(fe):
-        return analytics.average_from_entanglement(fe, n)
-
+def _ladders(n, theta, nm):
+    """Average fidelities of the hidden-inverse and the standard ladder."""
     hidden = [gates.STANDARD] * (n - 1) + [gates.INVERSE] * (n - 1)
-    row = [theta] + [favg(abs(circuit.ladder_overlap(n, theta, o, nm)) ** 2)
-                     for o in (hidden, None)]
-    if not seeds:  # a width sweep: rows are keyed by (n, theta)
-        return [n] + row
+    return [analytics.average_from_entanglement(
+        abs(circuit.ladder_overlap(n, theta, o, nm)) ** 2, n) for o in (hidden, None)]
+
+
+def _width_point(args):
+    n, theta, nm = args
+    return [n, theta] + _ladders(n, theta, nm)
+
+
+def _rc_point(args):
+    """Both ladders, then the mean over ``seeds`` randomized compilations."""
+    n, theta, nm, seeds, seed0 = args
     # the RC mean stays dense: folding the twirl Paulis into the contraction
     # was measured slower at n = 2 and saved no code
     standard = circuit.parity_controlled_z(n, theta)
-    ideal = circuit.ideal_parity_unitary(n, theta)
-    rc = sum(favg(analytics.entanglement_fidelity(ideal, circuit.unitary_of(
-        compiler.randomized_compile(standard, seed0 + s), nm))) for s in range(seeds))
-    return row + [rc / seeds]
+    target = circuit.unitary_of(standard)  # exp(-i theta/2 Z^(x)n) up to a global phase
+    twirled = (compiler.randomized_compile(standard, seed0 + s) for s in range(seeds))
+    rc = sum(analytics.average_from_entanglement(analytics.entanglement_fidelity(
+        target, circuit.unitary_of(c, nm)), n) for c in twirled)
+    return [theta] + _ladders(n, theta, nm) + [rc / seeds]
 
 
-def _block_point(args):
-    """Final-state fidelity of each block configuration, or with ``depol``
-    after every two-qubit gate, its all-0/all-1/other populations."""
-    n, theta, reps, nm, depol = args
+def _repeated_point(args):
+    """Final-state fidelity of ``reps`` blocks in each configuration."""
+    n, theta, reps, nm = args
     row = [theta]
     for config in (circuit.HIDDEN_INVERSE, gates.STANDARD):
         c = circuit.repeated_block_circuit(n, theta, reps, config)
-        if depol is None:
-            psi_ideal = circuit.unitary_of(c)[:, 0]
-            psi_noisy = circuit.unitary_of(c, nm)[:, 0]
-            row.append(float(abs(np.vdot(psi_ideal, psi_noisy)) ** 2))
-        else:
-            probs = circuit.run_density(c, nm, circuit.channels_after_two_qubit(c, depol))
-            row += [probs[0], probs[-1], 1.0 - probs[0] - probs[-1]]
+        psi_ideal = circuit.unitary_of(c)[:, 0]
+        psi_noisy = circuit.unitary_of(c, nm)[:, 0]
+        row.append(float(abs(np.vdot(psi_ideal, psi_noisy)) ** 2))
+    return row
+
+
+def _contrast_point(args):
+    """All-0, all-1 and other populations of one block in each configuration,
+    with ``depol`` after every two-qubit gate."""
+    n, theta, nm, depol = args
+    row = [theta]
+    for config in (circuit.HIDDEN_INVERSE, gates.STANDARD):
+        c = circuit.repeated_block_circuit(n, theta, 1, config)
+        probs = circuit.run_density(c, nm, circuit.channels_after_two_qubit(c, depol))
+        row += [probs[0], probs[-1], 1.0 - probs[0] - probs[-1]]
     return row
 
 
@@ -181,7 +194,8 @@ def _sk1_viability_point(args):
     raw, sk1 = pulses[0], channels.compose_ptms(pulses)
     f_raw = channels.avg_fidelity_from_ptm(raw, ideal)
     f_sk1 = channels.avg_fidelity_from_ptm(sk1, ideal)
-    return [eps_amp, gamma, f_raw, f_sk1, f_sk1 - f_raw]
+    # f_raw and f_sk1 carry ~1e-16 absolute error: the difference is good to 1e-12
+    return [eps_amp, gamma, f_raw, f_sk1, round(f_sk1 - f_raw, 12)]
 
 
 @contextmanager
@@ -220,22 +234,22 @@ def build_sweep(cfg: dict):
             n, seeds, seed = cfg["n"], cfg["seeds"], cfg["seed"]
             if not (2 <= n <= _MAX_WIDTH and seeds >= 1 and seed >= 0):
                 raise ConfigError(f"need n in [2, {_MAX_WIDTH}], seeds >= 1, seed >= 0")
-            return (["theta", "f_hidden", "f_standard", "f_rc_mean"], _parity_point,
+            return (["theta", "f_hidden", "f_standard", "f_rc_mean"], _rc_point,
                     [(n, t, nm, seeds, seed) for t in grid])
         if name == "repeated_2q":
             if cfg["reps"] < 1:
                 raise ConfigError("reps must be >= 1")
-            return (["theta", "f_hidden", "f_standard"], _block_point,
-                    [(2, t, cfg["reps"], nm, None) for t in grid])
+            return (["theta", "f_hidden", "f_standard"], _repeated_point,
+                    [(2, t, cfg["reps"], nm) for t in grid])
         if name == "contrast_4q":
             depol = channels.depolarizing_ptm(4, cfg["p_depol"])
             return (["theta", "p0000_hidden", "p1111_hidden", "pother_hidden",
                      "p0000_standard", "p1111_standard", "pother_standard"],
-                    _block_point, [(4, t, 1, nm, depol) for t in grid])
+                    _contrast_point, [(4, t, nm, depol) for t in grid])
         if not all(2 <= n <= _MAX_WIDTH for n in cfg["n_list"]):
             raise ConfigError(f"n_list entries must be in [2, {_MAX_WIDTH}]")
-        return (["n", "theta", "f_hidden", "f_standard"], _parity_point,
-                [(n, t, nm, 0, 0) for n in cfg["n_list"] for t in grid])
+        return (["n", "theta", "f_hidden", "f_standard"], _width_point,
+                [(n, t, nm) for n in cfg["n_list"] for t in grid])
 
 
 def _fmt(x) -> str:

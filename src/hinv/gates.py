@@ -48,8 +48,6 @@ from .qmat import I2, X, Y, Z
 STANDARD = "standard"
 INVERSE = "inverse"
 
-HADAMARD_MATRIX = (X + Z) / np.sqrt(2)
-
 _PAULI_KINDS = {"pauli_x": X, "pauli_y": Y, "pauli_z": Z}
 
 TWO_QUBIT_KINDS = ("xx", "cnot")
@@ -161,25 +159,13 @@ def _axis(phi: float) -> np.ndarray:
     return math.cos(phi) * X + math.sin(phi) * Y
 
 
-def rot1q_unitary(theta: float, phi: float) -> np.ndarray:
-    """``exp(-i theta/2 sigma_phi)`` on one qubit."""
-    c, s = math.cos(theta / 2), math.sin(theta / 2)
-    return c * I2 - 1j * s * _axis(phi)
-
-
 def virtual_z_unitary(theta: float) -> np.ndarray:
     return np.diag([np.exp(-0.5j * theta), np.exp(0.5j * theta)])
 
 
-def xx_unitary(theta: float, phi_axis: float = 0.0,
-               phase_a: float = 0.0, phase_b: float = 0.0) -> np.ndarray:
-    """``exp(-i theta sigma_a (x) sigma_b)`` with equatorial per-ion axes.
-
-    ``phi_axis`` is a common offset applied to both axes (the phase
-    misalignment between the single-qubit frame and the XX interaction);
-    ``phase_a``/``phase_b`` are the programmed per-ion drive phases.
-    """
-    G = np.kron(_axis(phase_a + phi_axis), _axis(phase_b + phi_axis))
+def xx_unitary(theta: float, phase_a: float = 0.0, phase_b: float = 0.0) -> np.ndarray:
+    """Noiseless ``exp(-i theta sigma_a (x) sigma_b)``, axes at the per-ion drive phases."""
+    G = np.kron(_axis(phase_a), _axis(phase_b))
     c, s = math.cos(theta), math.sin(theta)
     return c * np.eye(4, dtype=complex) - 1j * s * G
 

@@ -36,10 +36,10 @@ GEMM per column sector k; ``X^dag`` swaps an odd part's two blocks.  ``S =
 -(1/2) sum L^dag L`` is diagonal and ``D(rho) = sum L rho L^dag`` elementwise:
 a real weight per entry for the diagonal operators, and for heating a shift
 between sectors (``a^dag`` maps position p to p + 2 of the other sector).
-``X^dag`` equals ``(-iH + S) rho`` only for Hermitian rho, so only Hermitian
-matrices are evolved: :func:`ms_gate_channel` evolves Pauli strings tensored
-with a diagonal mode state (and their traced-out images), and
-:func:`lindblad_evolve` rejects non-Hermitian input.
+``X^dag`` equals ``(-iH + S) rho`` only for Hermitian rho, so
+:func:`_evolve_batch` needs Hermitian input, which :func:`ms_gate_channel`
+always passes: Pauli strings tensored with a diagonal mode state, and their
+traced-out images.
 """
 
 from __future__ import annotations
@@ -156,10 +156,9 @@ def sk1_pulse_specs(theta: float = math.pi / 4, **kw) -> list[LindbladSpec]:
     at the same drive strength.
     """
     phi1 = gates.sk1_phase(2 * theta)
-    loops = kw.pop("loops", 1)
-    target = xx_gate_spec(theta, loops=loops, **kw)
-    plus = xx_gate_spec(math.pi, loops=4 * loops, spin_phases=(phi1, 0.0), **kw)
-    minus = xx_gate_spec(math.pi, loops=4 * loops, spin_phases=(-phi1, 0.0), **kw)
+    target = xx_gate_spec(theta, **kw)
+    plus = xx_gate_spec(math.pi, loops=4, spin_phases=(phi1, 0.0), **kw)
+    minus = xx_gate_spec(math.pi, loops=4, spin_phases=(-phi1, 0.0), **kw)
     return [target, plus, minus]
 
 
@@ -252,7 +251,7 @@ def _n_steps(spec: LindbladSpec, steps_per_period: int) -> int:
     return steps
 
 
-# a diverging run is reported once, as NaN or inf by the callers' trace-drift guards
+# a diverging run is reported once, as NaN or inf by ms_gate_channel's trace-drift guard
 @np.errstate(over="ignore", invalid="ignore")
 def _evolve_batch(rhos: np.ndarray, spec: LindbladSpec, mode_index: int,
                   steps_per_period: int) -> np.ndarray:
@@ -323,28 +322,6 @@ def _evolve_batch(rhos: np.ndarray, spec: LindbladSpec, mode_index: int,
     y = np.zeros_like(x)
     y[bs, cols ^ odds, :, cols] = r
     return y.reshape(rhos.shape)[:, np.argsort(order)[:, None], np.argsort(order)]
-
-
-def lindblad_evolve(rho0: np.ndarray, spec: LindbladSpec, mode_index: int = 0,
-                    steps_per_period: int = DEFAULT_STEPS_PER_PERIOD) -> np.ndarray:
-    """Evolve one Hermitian matrix on 2 x 2 x Fock over the full schedule.
-
-    Raises ``ValueError`` if ``rho0`` is not Hermitian, or if the
-    integration drifts the trace by more than 1e-8 (relative to the input
-    trace scale).
-    """
-    rho0 = np.asarray(rho0, dtype=complex)
-    dim = 4 * spec.n_fock
-    if rho0.shape != (dim, dim):
-        raise ValueError(f"rho must be {dim}x{dim} for n_fock={spec.n_fock}")
-    if not qmat.is_hermitian(rho0):
-        raise ValueError("lindblad_evolve requires a Hermitian matrix")
-    out = _evolve_batch(rho0[None], spec, mode_index, steps_per_period)[0]
-    drift = abs(np.trace(out) - np.trace(rho0))
-    scale = max(1.0, abs(np.trace(rho0)))
-    if not drift <= 1e-8 * scale:
-        raise ValueError(f"trace drift {drift:.3e} exceeds tolerance 1e-8")
-    return out
 
 
 def mode_state(spec: LindbladSpec) -> np.ndarray:

@@ -3,13 +3,14 @@ and a random-circuit strategy."""
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from hinv import channels, circuit, gates
+from hinv import channels, circuit, gates, lindblad
 from hinv.analytics import MINUS, PLUS, average_from_entanglement
 from hinv.gates import INVERSE, STANDARD, NoiseModel
 
@@ -19,6 +20,7 @@ SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 CNOT4 = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
                  dtype=complex)
+HADAMARD = (SX + SZ) / np.sqrt(2)
 
 
 def kron_chain(*ops):
@@ -31,6 +33,18 @@ def kron_chain(*ops):
 def expi(H, s=1.0):
     """Independent matrix exponential exp(-i s H) (Pade, not eigh)."""
     return expm(-1j * s * np.asarray(H, dtype=complex))
+
+
+def rotation(theta, phi):
+    """exp(-i theta/2 (cos(phi) X + sin(phi) Y)), the driven single-qubit gate."""
+    return expi(math.cos(phi) * SX + math.sin(phi) * SY, theta / 2)
+
+
+def parity_target(n, theta):
+    """exp(-i theta/2 Z^(x)n); the diagonal of Z^(x)n is the Kronecker product
+    of n copies of (1, -1)."""
+    z = reduce(np.kron, [np.array([1.0, -1.0])] * n)
+    return np.diag(np.exp(-0.5j * theta * z))
 
 
 def embed_on(U, qubits, n):
@@ -206,6 +220,11 @@ def dense_evolve(rhos, spec, mode_index, steps):
         k4 = rhs(t + dt, r + dt * k3)
         r = r + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
     return r
+
+
+def evolve(rho, spec, steps_per_period=lindblad.DEFAULT_STEPS_PER_PERIOD):
+    """One Hermitian matrix through the integrator, as ms_gate_channel evolves a stack."""
+    return lindblad._evolve_batch(np.asarray(rho, complex)[None], spec, 0, steps_per_period)[0]
 
 
 def dense_gate_channel(spec, steps):

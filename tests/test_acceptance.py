@@ -30,7 +30,7 @@ from hinv.analytics import MINUS, PLUS
 from hinv.circuit import HIDDEN_INVERSE
 from hinv.gates import INVERSE, STANDARD, NoiseModel
 
-from conftest import binomial_phase_identity
+from conftest import binomial_phase_identity, parity_target
 
 THETA_GRID_25 = np.linspace(-np.pi, np.pi, 25)
 LINDBLAD_DELTA = 2 * np.pi * 200e3
@@ -50,7 +50,7 @@ def ladder_fidelity(theta, eps, n, orientation):
     sel = hidden_orientations(n) if orientation == PLUS else None
     c = circuit.parity_controlled_z(n, theta, sel)
     U = circuit.unitary_of(c, NoiseModel(eps_2q=eps))
-    return analytics.entanglement_fidelity(circuit.ideal_parity_unitary(n, theta), U)
+    return analytics.entanglement_fidelity(parity_target(n, theta), U)
 
 
 def test_criterion_1_closed_form_oracle_equivalence():
@@ -143,7 +143,7 @@ def test_criterion_3_cnot_generator_model():
 def _sweep_avg_fidelities(n, nm):
     fh, fs = [], []
     for theta in np.linspace(-np.pi, np.pi, 41):
-        ideal = circuit.ideal_parity_unitary(n, theta)
+        ideal = parity_target(n, theta)
         ch = circuit.parity_controlled_z(n, theta, hidden_orientations(n))
         cs = circuit.parity_controlled_z(n, theta)
         for curve, c in ((fh, ch), (fs, cs)):
@@ -258,7 +258,7 @@ def test_criterion_8_sk1_suite():
 def _rc_curves(nm, grid, seeds, seed0):
     fh, fs, frc = [], [], []
     for theta in grid:
-        ideal = circuit.ideal_parity_unitary(2, theta)
+        ideal = parity_target(2, theta)
 
         def favg(c):
             fe = analytics.entanglement_fidelity(ideal, circuit.unitary_of(c, nm))

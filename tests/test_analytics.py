@@ -6,7 +6,7 @@ from hinv.analytics import MINUS, PLUS
 from hinv.gates import INVERSE, STANDARD, NoiseModel
 
 from conftest import (CNOT4, SZ, FidelityPoint, binomial_phase_identity, embed_on, expi,
-                      kron_chain)
+                      kron_chain, parity_target)
 
 
 def ladder_fidelity(theta, eps, n, orientation):
@@ -15,7 +15,7 @@ def ladder_fidelity(theta, eps, n, orientation):
     orientations = [STANDARD] * (n - 1) + [sel] * (n - 1)
     c = circuit.parity_controlled_z(n, theta, orientations)
     U = circuit.unitary_of(c, NoiseModel(eps_2q=eps))
-    return analytics.entanglement_fidelity(circuit.ideal_parity_unitary(n, theta), U)
+    return analytics.entanglement_fidelity(parity_target(n, theta), U)
 
 
 # --- entanglement fidelity -----------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 from hinv import channels, gates, qmat
 from hinv.channels import PTM
 
-from conftest import SX, SZ, kron_chain, random_unitary
+from conftest import SX, SZ, kron_chain, random_unitary, rotation
 
 
 def superoperator_ptm(U):
@@ -70,9 +70,7 @@ def test_compose_order_last_applied_leftmost(rng):
 def test_sk1_composition_reproduces_composite_unitary():
     # composing elementary-rotation PTMs reproduces the composite's PTM
     phi1 = np.arccos(-(np.pi / 2) / (4 * np.pi))
-    seq = [gates.rot1q_unitary(np.pi / 2, 0.0),
-           gates.rot1q_unitary(2 * np.pi, phi1),
-           gates.rot1q_unitary(2 * np.pi, -phi1)]
+    seq = [rotation(np.pi / 2, 0.0), rotation(2 * np.pi, phi1), rotation(2 * np.pi, -phi1)]
     composed = channels.compose_ptms([channels.ptm_of_unitary(U) for U in seq])
     direct = channels.ptm_of_unitary(seq[2] @ seq[1] @ seq[0])
     assert np.abs(composed.mat - direct.mat).max() < 1e-12
@@ -131,7 +129,7 @@ def test_apply_ptm_matches_conjugation(rng):
 
 
 def test_csv_round_trip(tmp_path):
-    R = channels.ptm_of_unitary(gates.xx_unitary(np.pi / 4, 0.05))
+    R = channels.ptm_of_unitary(gates.xx_unitary(np.pi / 4, 0.05, 0.05))
     path = tmp_path / "ms.csv"
     channels.write_csv(R, path)
     assert path.read_text().startswith("# ptm n=2 ")

@@ -11,7 +11,7 @@ from hinv.circuit import HIDDEN_INVERSE
 from hinv.gates import INVERSE, STANDARD, NoiseModel
 
 from conftest import (CNOT4, SX, SZ, embed_on, expi, kron_chain, noisy_circuits,
-                      phase_overlap, random_unitary)
+                      parity_target, phase_overlap, random_unitary)
 
 
 def both_orientation_lists(n):
@@ -65,7 +65,7 @@ def test_pcz_bad_orientation_count():
 def test_ideal_parity_unitary_agrees_with_expm():
     for n in (2, 3, 4):
         want = expi(kron_chain(*([SZ] * n)), 0.35)
-        assert np.abs(circuit.ideal_parity_unitary(n, 0.7) - want).max() < 1e-13
+        assert np.abs(parity_target(n, 0.7) - want).max() < 1e-13
 
 
 # --- repeated_block_circuit ---------------------------------------------------
@@ -150,7 +150,7 @@ def noisy_ladders(draw):
 def test_ladder_overlap_matches_dense_oracle(case):
     n, theta, orientations, nm = case
     c = circuit.parity_controlled_z(n, theta, orientations)
-    want = analytics.entanglement_fidelity(circuit.ideal_parity_unitary(n, theta),
+    want = analytics.entanglement_fidelity(parity_target(n, theta),
                                            circuit.unitary_of(c, nm))
     got = abs(circuit.ladder_overlap(n, theta, orientations, nm)) ** 2
     assert abs(got - want) <= 1e-12
@@ -292,7 +292,7 @@ def misalignment_margins(n, phi_deg):
     std, hid = both_orientation_lists(n)
     margins = []
     for theta in grid:
-        ideal = circuit.ideal_parity_unitary(n, theta)
+        ideal = parity_target(n, theta)
         fh = abs(np.trace(ideal.conj().T @ circuit.unitary_of(
             circuit.parity_controlled_z(n, theta, hid), nm))) ** 2 / 4**n
         fs = abs(np.trace(ideal.conj().T @ circuit.unitary_of(

@@ -1,6 +1,8 @@
 import hashlib
+import importlib
 import json
 import math
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -64,6 +66,33 @@ def test_sweep_output_independent_of_worker_count(tmp_path, monkeypatch):
     assert run(["sweep", cfg, "-o", str(a)]) == 0
     monkeypatch.setenv("HINV_WORKERS", "3")
     assert run(["sweep", cfg, "-o", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_huge_worker_count_asks_for_one_process_per_point(tmp_path, monkeypatch):
+    sizes = []
+
+    class SerialPool:  # records the pool size asked for and starts no process
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    cfg = write_cfg(tmp_path, "overrotation_sweep", n_list=[2], theta_points=3)
+    a, b = tmp_path / "w1.csv", tmp_path / "w100000.csv"
+    assert run(["sweep", cfg, "-o", str(a)]) == 0
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+    monkeypatch.setenv("HINV_WORKERS", "100000")
+    assert run(["sweep", cfg, "-o", str(b)]) == 0
+    assert sizes == [3]
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -231,6 +260,8 @@ BAD_INPUTS = {
                      "HINV_WORKERS must be an integer >= 1, got 'two'"),
     "workers_0": ("HINV_WORKERS=0 sweep", SMALL_SWEEP,
                   "HINV_WORKERS must be an integer >= 1, got '0'"),
+    "workers_superscript": ("HINV_WORKERS=² sweep", SMALL_SWEEP,
+                            "HINV_WORKERS must be an integer >= 1, got '²'"),
     "compile_without_pass": ("compile {src} {out}", "qubits 2\n",
                              "hinv compile: the following arguments are required: --pass"),
     "unknown_subcommand": ("frobnicate {src}", "", "invalid choice: 'frobnicate'"),
@@ -295,7 +326,7 @@ def test_help_exits_0(capsys, argv):
 
 
 def _out_of_range_point(monkeypatch):
-    monkeypatch.setattr(cli, "_parity_point", lambda args: [args[0], args[1], 1.5, 0.5])
+    monkeypatch.setattr(cli, "_width_point", lambda args: [args[0], args[1], 1.5, 0.5])
     return ["sweep", {"experiment": "overrotation_sweep", "n_list": [2], "theta_points": 2}]
 
 
@@ -350,13 +381,29 @@ SWEEP_CONFIGS = sorted(p for p in CONFIGS.glob("*.json")
 def test_shipped_sweep_config_builds(path):
     cfg = cli.effective_config(json.loads(path.read_text()))
     header, point, tasks = cli.build_sweep(cfg)
-    assert callable(point) and tasks and header
+    task = tasks[0]
+    if point is cli._sk1_viability_point:
+        task = task[:-1] + (1,)  # one step per period: 50 RK4 steps per pulse
+    row = point(task)
+    assert len(row) == len(header)
+    if point is cli._sk1_viability_point:  # improvement is printed to 1e-12 absolute
+        assert Decimal(cli._fmt(row[-1])).as_tuple().exponent >= -12
 
 
 def test_shipped_configs_are_all_covered():
     assert {json.loads(p.read_text())["experiment"] for p in SWEEP_CONFIGS} == set(cli.SCHEMAS)
     spec = lindblad.load_spec(CONFIGS / "ms_gate_lindblad.json")
     assert spec.gamma_heat == 200.0 and spec.n_fock == 13
+
+
+def test_names_the_benchmark_reaches_exist(monkeypatch):
+    # the benchmark runs untraced, so a missing traced name would show only under --trace 1
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    for mod, fns in tracing.TRACED.items():
+        for fn in fns:
+            assert hasattr(importlib.import_module(f"hinv.{mod}"), fn), f"hinv.{mod}.{fn}"
+    assert callable(lindblad.spec_to_dict) and lindblad.DEFAULT_STEPS_PER_PERIOD >= 1
 
 
 # sha256 of each fast shipped sweep's CSV, as recorded in CHANGES.md

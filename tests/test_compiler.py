@@ -8,7 +8,7 @@ from hinv.analytics import MINUS, PLUS
 from hinv.compiler import OrientationRule
 from hinv.gates import INVERSE, STANDARD, NoiseModel
 
-from conftest import noisy_circuits, phase_overlap
+from conftest import noisy_circuits, phase_overlap, rotation
 
 
 # --- site detection -----------------------------------------------------------
@@ -147,7 +147,7 @@ def test_sk1_single_qubit_identity():
     prod = np.eye(2, dtype=complex)
     for h in seq:
         prod = gates.realize(h) @ prod
-    assert phase_overlap(prod, gates.rot1q_unitary(np.pi / 2, 0.0)) > 1 - 1e-10
+    assert phase_overlap(prod, rotation(np.pi / 2, 0.0)) > 1 - 1e-10
 
 
 def test_sk1_two_qubit_identity_and_duration():

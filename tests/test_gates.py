@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from hinv import circuit, compiler, gates, qmat
 from hinv.gates import INVERSE, STANDARD, Gate, NoiseModel
 
-from conftest import CNOT4, SX, SY, SZ, expi, kron_chain, phase_overlap
+from conftest import (CNOT4, HADAMARD, SX, SY, SZ, expi, kron_chain, phase_overlap,
+                      rotation)
 
 
 def realize_product(seq, nm=gates.IDEAL):
@@ -20,24 +21,28 @@ def realize_product(seq, nm=gates.IDEAL):
 
 # --- single-qubit rotations -------------------------------------------------
 
+def rot1q(theta, phi):
+    return gates.realize(gates.rot1q(0, theta, phi))
+
+
 def test_rot1q_zero_angle():
-    assert np.abs(gates.rot1q_unitary(0.0, 1.3) - np.eye(2)).max() == 0
+    assert np.abs(rot1q(0.0, 1.3) - np.eye(2)).max() == 0
 
 
 def test_rot1q_standard_x_half():
     want = np.array([[1, -1j], [-1j, 1]]) / np.sqrt(2)
-    assert np.abs(gates.rot1q_unitary(np.pi / 2, 0.0) - want).max() < 1e-15
+    assert np.abs(rot1q(np.pi / 2, 0.0) - want).max() < 1e-15
 
 
 def test_rot1q_y_half_generator_oracle():
-    got = gates.rot1q_unitary(np.pi / 2, np.pi / 2)
+    got = rot1q(np.pi / 2, np.pi / 2)
     want = expi(SY, np.pi / 4)  # exp(-i pi/4 Y), independent Pade route
     assert np.abs(got - want).max() < 1e-13
     assert np.abs(got - np.array([[1, -1], [1, 1]]) / np.sqrt(2)).max() < 1e-15
 
 
 def test_rot1q_pi_is_x_up_to_phase():
-    assert phase_overlap(gates.rot1q_unitary(np.pi, 0.0), SX) > 1 - 1e-12
+    assert phase_overlap(rot1q(np.pi, 0.0), SX) > 1 - 1e-12
 
 
 # --- XX interaction ----------------------------------------------------------
@@ -48,18 +53,18 @@ def test_xx_quarter():
 
 
 def test_xx_zero_angle_any_axis():
-    assert np.abs(gates.xx_unitary(0.0, 0.3) - np.eye(4)).max() == 0
+    assert np.abs(gates.xx_unitary(0.0, 0.3, 0.3) - np.eye(4)).max() == 0
 
 
 def test_xx_misaligned_axis_oracle():
     phi = np.deg2rad(3.5)
     ax = np.cos(phi) * SX + np.sin(phi) * SY
     want = expi(np.kron(ax, ax), np.pi / 4)
-    assert np.abs(gates.xx_unitary(np.pi / 4, phi) - want).max() < 1e-13
+    assert np.abs(gates.xx_unitary(np.pi / 4, phi, phi) - want).max() < 1e-13
 
 
 def test_xx_per_ion_phases():
-    got = gates.xx_unitary(0.7, 0.0, phase_a=0.4, phase_b=-0.2)
+    got = gates.xx_unitary(0.7, phase_a=0.4, phase_b=-0.2)
     axa = np.cos(0.4) * SX + np.sin(0.4) * SY
     axb = np.cos(-0.2) * SX + np.sin(-0.2) * SY
     assert np.abs(got - expi(np.kron(axa, axb), 0.7)).max() < 1e-13
@@ -93,7 +98,7 @@ def test_realize_zero_noise_exact():
     nm = gates.IDEAL
     for theta, phi in [(0.3, 0.0), (-1.2, 2.0), (np.pi, np.pi / 2)]:
         g = gates.rot1q(0, theta, phi)
-        assert np.abs(gates.realize(g, nm) - gates.rot1q_unitary(theta, phi)).max() < 1e-13
+        assert np.abs(gates.realize(g, nm) - rotation(theta, phi)).max() < 1e-13
     g = gates.xx(0, 1, np.pi / 4)
     assert np.abs(gates.realize(g, nm) - gates.xx_unitary(np.pi / 4)).max() < 1e-13
 
@@ -108,7 +113,7 @@ def test_realize_overrotated_xx():
 def test_realize_overrotated_rot1q():
     nm = NoiseModel(eps_1q=0.002)
     got = gates.realize(gates.rot1q(0, np.pi / 2, 0.0), nm)
-    assert np.abs(got - gates.rot1q_unitary(1.002 * np.pi / 2, 0.0)).max() < 1e-13
+    assert np.abs(got - rotation(1.002 * np.pi / 2, 0.0)).max() < 1e-13
 
 
 def test_virtual_z_immune_to_noise():
@@ -119,11 +124,11 @@ def test_virtual_z_immune_to_noise():
 
 def test_hadamard_realization():
     H = gates.realize(gates.hadamard(0))
-    assert phase_overlap(H, gates.HADAMARD_MATRIX) > 1 - 1e-12
+    assert phase_overlap(H, HADAMARD) > 1 - 1e-12
     # noise applies to the driven part only
     nm = NoiseModel(eps_1q=0.01)
     noisy = gates.realize(gates.hadamard(0), nm)
-    want = gates.rot1q_unitary(1.01 * np.pi / 2, np.pi / 2) @ gates.virtual_z_unitary(np.pi)
+    want = rotation(1.01 * np.pi / 2, np.pi / 2) @ gates.virtual_z_unitary(np.pi)
     assert np.abs(noisy - want).max() < 1e-13
 
 

@@ -6,7 +6,7 @@ import pytest
 from hinv import channels, gates, lindblad, qmat
 from hinv.lindblad import LindbladSpec, ModeSpec, Segment
 
-from conftest import I2, SX, dense_evolve, dense_gate_channel, kron_chain
+from conftest import I2, SX, dense_evolve, dense_gate_channel, evolve, kron_chain
 
 
 DELTA = 2 * np.pi * 20e3
@@ -42,7 +42,7 @@ def test_noiseless_evolution_matches_closed_system_propagator():
     psi = np.zeros(4 * nf, dtype=complex)
     psi[0] = 1.0  # |00, n=0>
     rho = np.outer(psi, psi.conj())
-    out = lindblad.lindblad_evolve(rho, spec)
+    out = evolve(rho, spec)
     want = kron_chain(gates.xx_unitary(np.pi / 4), np.eye(nf)) @ psi
     fid = float(np.real(want.conj() @ out @ want))
     assert fid > 1 - 1e-8
@@ -61,7 +61,7 @@ def test_heating_thermalization_rate():
     nf = spec.n_fock
     rho0 = np.zeros((4 * nf, 4 * nf), dtype=complex)
     rho0[0, 0] = 1.0
-    out = lindblad.lindblad_evolve(rho0, spec)
+    out = evolve(rho0, spec)
     num = kron_chain(np.eye(4), np.diag(np.arange(nf, dtype=float)))
     nbar = float(np.real(np.trace(num @ out)))
     assert abs(nbar - gamma * T) < gamma * T * 0.01
@@ -86,7 +86,7 @@ def test_laser_dephasing_rates():
         spin[i, i] = spin[j, j] = 0.5
         spin[i, j] = spin[j, i] = 0.5
         rho = np.kron(spin, mode0)
-        out = lindblad.lindblad_evolve(rho, spec)
+        out = evolve(rho, spec)
         return np.einsum("afbf->ab", out.reshape(4, nf, 4, nf))[i, j]
 
     c_0011 = evolve_coherence(0, 3)
@@ -214,18 +214,16 @@ def test_structured_rhs_matches_dense_oracle(spec):
     assert steps <= 60
     want = dense_gate_channel(spec, steps)
     assert np.abs(lindblad.ms_gate_channel(spec, spp).mat - want).max() < 1e-12
-    # |00><11| (x) |0><0| is rejected; the Hermitian parts of it and of a
-    # generic complex matrix evolve as the dense oracle does
+    # the Hermitian parts of |00><11| (x) |0><0| and of a generic complex
+    # matrix evolve as the dense oracle does
     nf = spec.n_fock
     corner = np.zeros((4 * nf, 4 * nf), dtype=complex)
     corner[0, 3 * nf] = 1.0
-    with pytest.raises(ValueError, match="Hermitian"):
-        lindblad.lindblad_evolve(corner, spec, 0, spp)
     rng = np.random.default_rng(7)
     generic = rng.standard_normal(corner.shape) + 1j * rng.standard_normal(corner.shape)
     for M in (corner, generic / np.abs(np.trace(generic))):
         rho0 = (M + M.conj().T) / 2
-        out = lindblad.lindblad_evolve(rho0, spec, 0, spp)
+        out = evolve(rho0, spec, spp)
         assert np.abs(out - dense_evolve(rho0, spec, 0, steps)).max() < 1e-12
 
 
@@ -238,9 +236,9 @@ def test_each_parity_part_matches_dense_oracle(spec):
     thermal = np.diag(0.4 ** np.arange(nf) * 0.6)
     zero = np.zeros((4 * nf, 4 * nf))
     for rho0 in (kron_chain(SX, SX, thermal), kron_chain(SX, I2, thermal), zero):
-        out = lindblad.lindblad_evolve(rho0, spec, 0, spp)
+        out = evolve(rho0, spec, spp)
         assert np.abs(out - dense_evolve(rho0, spec, 0, steps)).max() < 1e-12
-    assert not lindblad.lindblad_evolve(zero, spec, 0, spp).any()
+    assert not evolve(zero, spec, spp).any()
 
 
 def test_drive_that_breaks_parity_is_refused(monkeypatch):
