@@ -9,14 +9,12 @@ Subcommands::
 A sweep config names an experiment of :data:`SCHEMAS`, the one table of
 its keys and their defaults.  Sweeps emit deterministic CSV: a header
 comment echoing the effective config, one row per grid point, 12
-significant digits.  Grid points can be dispatched to a process pool of
-``HINV_WORKERS`` processes (an integer >= 1, default 1), at most one per
-grid point and CPU; the output does not depend on the worker count.
+significant digits.
 
-Exit codes: 0 success, 2 config error (a bad command line, input file or
-``HINV_WORKERS``, or anything raised while building an experiment's
-inputs), 3 any other failure, such as a numeric guard or running out of
-memory.  Either way stderr gets one ``error:`` line.
+Exit codes: 0 success, 2 config error (a bad command line or input file,
+or anything raised while building an experiment's inputs), 3 any other
+failure, such as a numeric guard or running out of memory.  Either way
+stderr gets one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -24,9 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 
 import numpy as np
@@ -115,25 +111,8 @@ def _noise_from_cfg(cfg) -> gates.NoiseModel:
                                for key, (field, conv) in _NOISE_FIELDS.items() if key in cfg})
 
 
-def _workers() -> int:
-    """The process count set by ``HINV_WORKERS`` (default 1)."""
-    raw = os.environ.get("HINV_WORKERS", "1")
-    if not (raw.isdecimal() and int(raw) >= 1):
-        raise ConfigError(f"HINV_WORKERS must be an integer >= 1, got {raw!r}")
-    return int(raw)
-
-
-def _pmap(fn, items, workers):
-    # the pool starts every worker at once, so ask for no more than can run
-    workers = min(workers, len(items), os.cpu_count() or 1)
-    if workers <= 1:
-        return [fn(it) for it in items]
-    with ProcessPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, items))
-
-
 # ---------------------------------------------------------------------------
-# point functions (module level, so a process pool can run them)
+# point functions
 
 def _ladders(n, theta, nm):
     """Average fidelities of the hidden-inverse and the standard ladder."""
@@ -189,9 +168,9 @@ def _sk1_viability_point(args):
     kw = dict(delta=delta, gamma_heat=gamma, amp_scale=1.0 + eps_amp)
     ideal = channels.ptm_of_unitary(gates.xx_unitary(math.pi / 4))
     # the SK1 target pulse is the raw gate, xx_gate_spec(**kw)
-    pulses = [lindblad.ms_gate_channel(s, steps)
-              for s in lindblad.sk1_pulse_specs(math.pi / 4, **kw)]
-    raw, sk1 = pulses[0], channels.compose_ptms(pulses)
+    raw, plus = [lindblad.ms_gate_channel(s, steps)
+                 for s in lindblad.sk1_pulse_specs(math.pi / 4, **kw)]
+    sk1 = channels.compose_ptms([raw, plus, lindblad.sk1_minus_loop(plus)])
     f_raw = channels.avg_fidelity_from_ptm(raw, ideal)
     f_sk1 = channels.avg_fidelity_from_ptm(sk1, ideal)
     # f_raw and f_sk1 carry ~1e-16 absolute error: the difference is good to 1e-12
@@ -215,10 +194,11 @@ def build_sweep(cfg: dict):
     name = cfg["experiment"]
     with _config_stage(f"bad {name} config"):
         if name == "sk1_viability":
-            if not (cfg["delta"] > 0 and cfg["steps_per_period"] >= 1
-                    and min(cfg["gamma_list"]) >= 0):
-                raise ConfigError("need delta > 0, steps_per_period >= 1, gamma >= 0")
-            for e in cfg["eps_amplitude_list"]:  # every pulse within the RK4 step limit
+            if min(cfg["gamma_list"]) < 0:
+                raise ConfigError("gamma_list entries must be >= 0")
+            # checks delta and steps_per_period, and keeps every evolved pulse
+            # within the RK4 step limit (loop(-phi1) is derived, not evolved)
+            for e in cfg["eps_amplitude_list"]:
                 for s in lindblad.sk1_pulse_specs(delta=cfg["delta"], amp_scale=1 + e):
                     lindblad._n_steps(s, cfg["steps_per_period"])
             tasks = [(float(e), float(g), float(cfg["delta"]), cfg["steps_per_period"])
@@ -264,9 +244,8 @@ def run_sweep(cfg, out_path=None) -> None:
     out_path = out_path or cfg.get("output")
     if not out_path:
         raise ConfigError("no output path (use -o or config key 'output')")
-    workers = _workers()
     header, point, tasks = build_sweep(cfg)
-    rows = _pmap(point, tasks, workers)
+    rows = [point(t) for t in tasks]
     for row in rows:
         for col, x in zip(header, row):
             if col.startswith(("f_", "p")) and not (-1e-9 <= float(x) <= 1 + 1e-9):

@@ -51,7 +51,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import gates, qmat
-from .channels import PTM
+from .channels import PTM, ptm_of_unitary
 
 DEFAULT_N_FOCK = 13
 DEFAULT_STEPS_PER_PERIOD = 400
@@ -135,6 +135,12 @@ def xx_gate_spec(theta: float = math.pi / 4, delta: float = 2 * math.pi * 20e3,
     """
     if theta <= 0:
         raise ValueError("theta must be positive; flip a spin phase by pi instead")
+    if type(loops) is not int or loops < 1:
+        raise ValueError(f"loops must be an integer >= 1, got {loops!r}")
+    if not 0 < delta < math.inf:
+        raise ValueError(f"delta must be a finite number > 0, got {delta!r}")
+    if not (isinstance(spin_phases, (tuple, list)) and len(spin_phases) == 2):
+        raise ValueError(f"spin_phases needs one value per ion, got {spin_phases!r}")
     T = 2 * math.pi * loops / delta
     f = delta * math.sqrt(theta / (4 * math.pi * loops))
     omega = 2 * f / eta * amp_scale
@@ -150,16 +156,28 @@ def xx_gate_spec(theta: float = math.pi / 4, delta: float = 2 * math.pi * 20e3,
 
 
 def sk1_pulse_specs(theta: float = math.pi / 4, **kw) -> list[LindbladSpec]:
-    """Pulse-level SK1 for an XX target: [target, loop(+phi1), loop(-phi1)].
+    """Pulse-level SK1 for an XX target: [target, loop(+phi1)].
 
-    Loop pulses have generator angle pi (spin angle 2*pi) and run 4x longer
-    at the same drive strength.
+    The loop pulse has generator angle pi (spin angle 2*pi) and runs 4x
+    longer at the same drive strength; :func:`sk1_minus_loop` derives the
+    channel of the third pulse, loop(-phi1), from its channel.
     """
     phi1 = gates.sk1_phase(2 * theta)
-    target = xx_gate_spec(theta, **kw)
-    plus = xx_gate_spec(math.pi, loops=4, spin_phases=(phi1, 0.0), **kw)
-    minus = xx_gate_spec(math.pi, loops=4, spin_phases=(-phi1, 0.0), **kw)
-    return [target, plus, minus]
+    return [xx_gate_spec(theta, **kw),
+            xx_gate_spec(math.pi, loops=4, spin_phases=(phi1, 0.0), **kw)]
+
+
+def sk1_minus_loop(plus: PTM, theta: float = math.pi / 4) -> PTM:
+    """Channel of SK1's loop(-phi1) pulse from that of its loop(+phi1) pulse.
+
+    Shifting ion 0's spin phase by -2 phi1 conjugates H(t) by the Z rotation
+    ``U = virtual_z(-2 phi1) (x) I``, and every collapse operator commutes
+    with U, so the loop(-phi1) channel is exactly ``V R+ V^T`` with ``V`` the
+    PTM of U.
+    """
+    U = np.kron(gates.virtual_z_unitary(-2 * gates.sk1_phase(2 * theta)), np.eye(2))
+    V = ptm_of_unitary(U).mat
+    return PTM(2, V @ plus.mat @ V.T)
 
 
 # ---------------------------------------------------------------------------

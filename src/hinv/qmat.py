@@ -14,8 +14,7 @@ Conventions used throughout the package:
   strings: ``Tr[P_i P_j] = 2**n * delta_ij``.
 
 The single-qubit constants and all returned basis matrices are flagged
-read-only; everything here is stateless and safe to share across parallel
-workers.
+read-only; everything here is stateless.
 """
 
 from __future__ import annotations

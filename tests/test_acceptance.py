@@ -323,9 +323,9 @@ def test_criterion_10_lindblad_suite():
     diffs = {}
     for gamma in (20.0, 2000.0):
         kw = dict(delta=LINDBLAD_DELTA, gamma_heat=gamma, amp_scale=1.02)
-        raw = lindblad.ms_gate_channel(lindblad.xx_gate_spec(**kw), 120)
-        sk1 = channels.compose_ptms([lindblad.ms_gate_channel(s, 120)
-                                     for s in lindblad.sk1_pulse_specs(np.pi / 4, **kw)])
+        raw, plus = [lindblad.ms_gate_channel(s, 120)
+                     for s in lindblad.sk1_pulse_specs(np.pi / 4, **kw)]
+        sk1 = channels.compose_ptms([raw, plus, lindblad.sk1_minus_loop(plus)])
         diffs[gamma] = (channels.avg_fidelity_from_ptm(sk1, ideal)
                         - channels.avg_fidelity_from_ptm(raw, ideal))
     crossover = diffs[20.0] > 0 > diffs[2000.0]

@@ -2,6 +2,8 @@ import hashlib
 import importlib
 import json
 import math
+import subprocess
+import sys
 from decimal import Decimal
 from pathlib import Path
 
@@ -56,43 +58,6 @@ def test_sweep_output_is_byte_identical(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert run(["sweep", cfg, "-o", str(a)]) == 0
     assert run(["sweep", cfg, "-o", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
-
-
-def test_sweep_output_independent_of_worker_count(tmp_path, monkeypatch):
-    cfg = write_cfg(tmp_path, "rc_compare", theta_points=3, seeds=4, seed=5, n=2)
-    a, b = tmp_path / "w1.csv", tmp_path / "w3.csv"
-    monkeypatch.setenv("HINV_WORKERS", "1")
-    assert run(["sweep", cfg, "-o", str(a)]) == 0
-    monkeypatch.setenv("HINV_WORKERS", "3")
-    assert run(["sweep", cfg, "-o", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
-
-
-def test_huge_worker_count_asks_for_one_process_per_point(tmp_path, monkeypatch):
-    sizes = []
-
-    class SerialPool:  # records the pool size asked for and starts no process
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    cfg = write_cfg(tmp_path, "overrotation_sweep", n_list=[2], theta_points=3)
-    a, b = tmp_path / "w1.csv", tmp_path / "w100000.csv"
-    assert run(["sweep", cfg, "-o", str(a)]) == 0
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
-    monkeypatch.setenv("HINV_WORKERS", "100000")
-    assert run(["sweep", cfg, "-o", str(b)]) == 0
-    assert sizes == [3]
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -215,11 +180,10 @@ def test_effective_config_fills_defaults_and_checks_types():
 
 # Every malformed input exits 2 with exactly one "error:" line on stderr.
 # Each case: a command line (a subcommand of ARGV, or a template with {src}
-# and {out}, after optional NAME=value environment settings), input file
-# content (JSON-encoded unless a string), and a fragment of the expected message.
+# and {out}), input file content (JSON-encoded unless a string), and a
+# fragment of the expected message.
 ARGV = {"sweep": "sweep {src} -o {out}", "ptm": "ptm {src} {out}",
         "compile": "compile {src} {out} --pass hidden"}
-SMALL_SWEEP = {"experiment": "repeated_2q", "theta_points": 1}
 SMALL_SPEC = {"calibrate": {"n_fock": 3}}
 FULL_SPEC = lindblad.spec_to_dict(lindblad.xx_gate_spec(n_fock=3))
 BAD_INPUTS = {
@@ -256,12 +220,14 @@ BAD_INPUTS = {
                            "--steps-per-period must be >= 1, got 0"),
     "steps_per_period_negative": ("ptm {src} {out} --steps-per-period -5", SMALL_SPEC,
                                   "--steps-per-period must be >= 1, got -5"),
-    "workers_word": ("HINV_WORKERS=two sweep", SMALL_SWEEP,
-                     "HINV_WORKERS must be an integer >= 1, got 'two'"),
-    "workers_0": ("HINV_WORKERS=0 sweep", SMALL_SWEEP,
-                  "HINV_WORKERS must be an integer >= 1, got '0'"),
-    "workers_superscript": ("HINV_WORKERS=² sweep", SMALL_SWEEP,
-                            "HINV_WORKERS must be an integer >= 1, got '²'"),
+    "loops_fraction": ("ptm", {"calibrate": {"n_fock": 3, "loops": 1.5}},
+                       "loops must be an integer >= 1, got 1.5"),
+    "loops_0": ("ptm", {"calibrate": {"n_fock": 3, "loops": 0}},
+                "loops must be an integer >= 1, got 0"),
+    "delta_0": ("ptm", {"calibrate": {"n_fock": 3, "delta": 0}},
+                "delta must be a finite number > 0, got 0"),
+    "spin_phases_one_entry": ("ptm", {"calibrate": {"n_fock": 3, "spin_phases": [0.5]}},
+                              "spin_phases needs one value per ion, got [0.5]"),
     "compile_without_pass": ("compile {src} {out}", "qubits 2\n",
                              "hinv compile: the following arguments are required: --pass"),
     "unknown_subcommand": ("frobnicate {src}", "", "invalid choice: 'frobnicate'"),
@@ -302,14 +268,10 @@ BAD_INPUTS = {
 
 
 @pytest.mark.parametrize("cmd, content, fragment", BAD_INPUTS.values(), ids=BAD_INPUTS)
-def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, monkeypatch, cmd, content,
-                                              fragment):
+def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, cmd, content, fragment):
     src = tmp_path / "input"
     src.write_text(content if isinstance(content, str) else json.dumps(content))
-    words = cmd.split()
-    while words and "=" in words[0]:
-        monkeypatch.setenv(*words.pop(0).split("=", 1))
-    template = ARGV.get(" ".join(words), " ".join(words))
+    template = ARGV.get(cmd, cmd)
     argv = template.format(src=src, out=tmp_path / "out").split()
     assert run(argv) == 2
     err = capsys.readouterr().err.splitlines()
@@ -408,6 +370,8 @@ def test_names_the_benchmark_reaches_exist(monkeypatch):
 
 # sha256 of each fast shipped sweep's CSV, as recorded in CHANGES.md
 RECORDED_SHA256 = {
+    "overrotation_sweep": "cff0ddc46d47ecdcd3f58c1140cdd753af5f60ee1523daca8848175c40654659",
+    "phase_sweep": "e1cf30cc42cd8f925236810fbf1d9799098581b8c0486bcd8b8d4f434aea33f2",
     "contrast_4q": "7418bbda6fea2893b69f42605497dd60ba38f39de3bc0418ecb94561f4ff020a",
     "repeated_2q": "54435730915db4f2f4f6cbc815cca25d2c95fdb0e7089fce0cd5d487ab29fa1c",
     "rc_compare_detuning": "7a3ae277cd7aa63d19d8f0729ad1fa54cfc79b13a29e7c5fea79077e4441ac1b",
@@ -423,24 +387,21 @@ def test_fast_shipped_configs_reproduce_recorded_csvs(tmp_path, name):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == RECORDED_SHA256[name]
 
 
-# sha256 of each shipped width sweep's CSV, as recorded in CHANGES.md
-WIDTH_SWEEP_SHA256 = {
-    "overrotation_sweep": "cff0ddc46d47ecdcd3f58c1140cdd753af5f60ee1523daca8848175c40654659",
-    "phase_sweep": "e1cf30cc42cd8f925236810fbf1d9799098581b8c0486bcd8b8d4f434aea33f2",
-}
+def test_shipped_ptm_spec_reproduces_recorded_csv(tmp_path):
+    out = tmp_path / "ptm.csv"
+    assert run(["ptm", str(CONFIGS / "ms_gate_lindblad.json"), str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "57284254e57b481933313d2a07e717168639d44bc8b62b607ece1ce3f1c809eb")
 
 
-@pytest.mark.parametrize("name", WIDTH_SWEEP_SHA256)
-def test_shipped_width_sweeps_reproduce_recorded_csvs_with_any_worker_count(
-        tmp_path, monkeypatch, name):
-    csvs = []
-    for workers in ("1", "2"):
-        monkeypatch.setenv("HINV_WORKERS", workers)
-        out = tmp_path / f"workers{workers}.csv"
-        assert run(["sweep", str(CONFIGS / f"{name}.json"), "-o", str(out)]) == 0
-        csvs.append(out.read_bytes())
-    assert hashlib.sha256(csvs[0]).hexdigest() == WIDTH_SWEEP_SHA256[name]
-    assert csvs[1] == csvs[0]
+def test_importing_the_cli_loads_no_process_pool():
+    # a sweep runs in one process, so the CLI needs neither module at import
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import hinv.cli; "
+            "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, timeout=60)
+    assert done.stdout.strip() == "[]"
 
 
 # A circuit with nested, repeated and adjacent conjugation sites, and the

@@ -34,6 +34,20 @@ def test_spin_phase_convention():
     assert channels.avg_fidelity_from_ptm(R, ideal) > 1 - 1e-6
 
 
+@pytest.mark.parametrize("noise", [dict(gamma_heat=600.0, tau_m=2e-3, tau_l=5e-3),
+                                   dict(mode_nbar=0.3)], ids=["dissipators", "thermal"])
+def test_minus_loop_is_the_plus_loop_in_a_z_rotated_frame(noise):
+    kw = dict(delta=DELTA, n_fock=4, amp_scale=1.01, **noise)
+    phi1 = gates.sk1_phase(np.pi / 2)
+    plus = lindblad.ms_gate_channel(lindblad.sk1_pulse_specs(np.pi / 4, **kw)[1], 20)
+    minus = lindblad.ms_gate_channel(
+        lindblad.xx_gate_spec(np.pi, loops=4, spin_phases=(-phi1, 0.0), **kw), 20)
+    assert np.abs(lindblad.sk1_minus_loop(plus).mat - minus.mat).max() <= 1e-12
+    # the frame rotation is by -2 phi1: the opposite sign gives another channel
+    V = channels.ptm_of_unitary(kron_chain(gates.virtual_z_unitary(2 * phi1), I2)).mat
+    assert np.abs(V @ plus.mat @ V.T - minus.mat).max() > 1e-3
+
+
 def test_noiseless_evolution_matches_closed_system_propagator():
     # with balanced tones and closed loops the propagator is analytically
     # XX(pi/4) (x) I_mode (the Magnus series terminates)
@@ -170,6 +184,10 @@ def test_spec_validation():
     for bad in ({"tau_m": math.nan}, {"tau_l": math.nan}, {"tau_m": 0.0}):
         with pytest.raises(ValueError, match="coherence times positive"):
             lindblad.xx_gate_spec(**bad)
+    for key, bad in [("loops", True), ("loops", -1), ("delta", math.nan),
+                     ("delta", -DELTA), ("spin_phases", (0.0, 0.0, 0.0))]:
+        with pytest.raises(ValueError, match=key):
+            lindblad.xx_gate_spec(**{key: bad})
 
 
 def _fm_spec(**kw):
