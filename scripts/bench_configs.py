@@ -1,0 +1,127 @@
+"""Time ``hinv`` on every shipped config, optionally against a baseline checkout.
+
+    python3 scripts/bench_configs.py -o BENCH.json [--baseline DIR] [--pairs N]
+
+Run from the repository root. Each checkout (this one, and ``--baseline``
+if given) runs every file in its ``configs/`` once, in a fresh process with
+one BLAS thread: ``hinv sweep`` for an experiment config, ``hinv ptm`` for
+a pulse spec. Each run records ``{wall_s, rc, csv_sha256}``. With
+``--pairs N``, every workload of ``perfbench/run.py`` also runs N times per
+checkout for ``BENCHMARK.json``'s ``run_seconds``, in pairs whose first run
+alternates between baseline and change, and its end-to-end medians are
+recorded. The output JSON also records the host: core count, CPU, numpy
+and BLAS versions, and the BLAS thread count.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+
+os.environ["OPENBLAS_NUM_THREADS"] = "1"  # before numpy loads BLAS, as for every child
+
+import numpy as np  # noqa: E402
+
+ROOT = os.getcwd()
+# perfbench's batch module imports hinv.cli from this checkout
+sys.path[:0] = [os.path.join(ROOT, "perfbench"), os.path.join(ROOT, "src")]
+
+from batch import blas_threads  # noqa: E402
+from run import cpu_model, source_sha256  # noqa: E402
+from workloads import WORKLOADS  # noqa: E402
+
+
+def host() -> dict:
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return {"nproc": len(os.sched_getaffinity(0)), "cpu_model": cpu_model(),
+            "python": platform.python_version(), "numpy": np.__version__,
+            "blas": f"{blas.get('name')} {blas.get('version')}",
+            "OPENBLAS_NUM_THREADS": os.environ["OPENBLAS_NUM_THREADS"],
+            "blas_threads": blas_threads()}
+
+
+def run_configs(root: str) -> dict:
+    """``{config file: {wall_s, rc, csv_sha256}}`` for every shipped config of ``root``."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in sorted(os.listdir(os.path.join(root, "configs"))):
+            path = os.path.join(root, "configs", name)
+            with open(path) as fh:
+                sweep = "experiment" in json.load(fh)
+            csv = os.path.join(tmp, name + ".csv")
+            argv = ["sweep", path, "-o", csv] if sweep else ["ptm", path, csv]
+            t0 = time.perf_counter()
+            rc = subprocess.run([sys.executable, "-m", "hinv.cli"] + argv, env=env,
+                                capture_output=True).returncode
+            wall = time.perf_counter() - t0
+            digest = None
+            if rc == 0:
+                with open(csv, "rb") as fh:
+                    digest = hashlib.sha256(fh.read()).hexdigest()
+            out[name] = {"wall_s": round(wall, 3), "rc": rc, "csv_sha256": digest}
+            print(f"{root}: {name} rc={rc} {wall:.2f} s", file=sys.stderr)
+    return out
+
+
+def perfbench_once(root: str, workload: str, seed: int, seconds: float) -> dict:
+    """End-to-end metrics of one ``perfbench/run.py`` run from ``root``."""
+    proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
+                           "--seed", str(seed), "--seconds", str(seconds)],
+                          cwd=root, capture_output=True, text=True, check=True)
+    res = json.loads(proc.stdout.strip().splitlines()[-1])
+    return {k: v["value"] for k, v in res["metrics"].items()} | {"failed": res["failed"]}
+
+
+def perfbench_pairs(roots: dict, pairs: int, seconds: float) -> dict:
+    """Per workload: every run, pair by pair, and each checkout's medians.
+
+    Odd-numbered pairs run the checkouts in reverse order, so neither always goes first.
+    """
+    out = {}
+    for w in sorted(WORKLOADS):
+        runs = {label: [] for label in roots}
+        for k in range(pairs):
+            order = list(roots.items())
+            for label, root in order[::-1] if k % 2 else order:
+                runs[label].append(perfbench_once(root, w, k + 1, seconds))
+                print(f"{w} pair {k} {label}: {runs[label][-1]}", file=sys.stderr)
+        out[w] = {label: {"median": {m: statistics.median(r[m] for r in rs) for m in rs[0]},
+                          "runs": rs} for label, rs in runs.items()}
+    return out
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("-o", "--output", required=True)
+    ap.add_argument("--baseline", help="root of a baseline checkout to compare with")
+    ap.add_argument("--pairs", type=int, default=0)
+    args = ap.parse_args()
+
+    roots = {"change": ROOT}
+    if args.baseline:
+        roots = {"baseline": os.path.abspath(args.baseline), **roots}
+    report = {"host": host(),
+              "source_sha256": {label: source_sha256(root) for label, root in roots.items()},
+              "configs": {label: run_configs(root) for label, root in roots.items()}}
+    if args.pairs:
+        with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+            seconds = json.load(fh)["run_seconds"]
+        report["perfbench"] = {"pairs": args.pairs, "seconds": seconds,
+                               "workloads": perfbench_pairs(roots, args.pairs, seconds)}
+    with open(args.output, "w") as fh:
+        json.dump(report, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -11,7 +11,8 @@ Two execution pipelines are provided and must agree:
 
 :func:`ladder_overlap` takes the arguments of :func:`parity_controlled_z`
 and contracts that realized ladder against ``exp(-i theta/2 Z^(x)n)`` in
-O(n) 2x2 transfer steps, with no dense operator; :func:`unitary_of` is its oracle.
+O(n) 2x2 transfer steps (4x4 for ``compiler.twirled_ladder_fidelity``), with
+no dense operator; :func:`unitary_of` is its oracle.
 
 The plain-text serialization is line oriented, one gate per line:
 
@@ -101,23 +102,31 @@ def ladder_overlap(n: int, theta: float, orientations=None,
                    nm: NoiseModel = IDEAL) -> complex:
     """``Tr[U^dag V] / 2**n`` in O(n), for ``U = exp(-i theta/2 Z^(x)n)`` and
     the realized product ``V`` of ``parity_controlled_z(n, theta, orientations)``.
-
-    Since ``U^dag = cos(theta/2) I + i sin(theta/2) Z^(x)n`` and control j
-    is touched only by its gates A_j and B_j, ``Tr[(Z^s)^(x)n V]`` for
-    s = 0, 1 is a chain of 2x2 transfer matrices on the target,
-    ``T_j = Tr_j[(Z^s (x) I) B_j (I (x) T_j+1) A_j] / 2``, started from the
-    realized middle gate.  :func:`unitary_of` is its dense oracle.
-    """
+    :func:`unitary_of` is its dense oracle."""
     gs = parity_controlled_z(n, theta, orientations).gates
-    # sign[s, b] = <b|Z^s|b>; T[s] carries the s = 0 and s = 1 chains at once
+    return _ladder_trace(theta, gs, lambda g: gates.realize(g, nm))
+
+
+def _ladder_trace(theta: float, gs, site_op) -> complex:
+    """``Tr[W^dag L] / d**n``, gate g of the ladder ``gs`` acting as ``site_op(g)`` on
+    qubits (d = 2, W = U) or qubit-and-copy pairs (d = 4, W = U (x) U*), for
+    ``U^dag = c I + i s Z^(x)n`` (c, s = cos, sin of theta/2).  W^dag sums products
+    S of diagonal site operators, and site j meets only its gates A_j and B_j,
+    so ``Tr[S L]`` is a chain of d x d transfer matrices on the target,
+    ``T_j = Tr_j[(S_j (x) I) B_j (I (x) T_j+1) A_j] / d``, from the middle gate."""
+    n = (len(gs) + 1) // 2
+    op = [site_op(g) for g in gs]
+    d = len(op[n - 1])
+    # sign[s, b] = <b|S_j|b> and w[s] its weight: I, Z on a qubit; their pairs on two
     sign = np.array([[1.0, 1.0], [1.0, -1.0]])
-    T = np.stack([gates.realize(gs[n - 1], nm)] * 2)
+    w = np.array([np.cos(theta / 2), 1j * np.sin(theta / 2)])
+    if d == 4:
+        sign, w = np.kron(sign, sign), np.kron(w, w.conj())
+    T = np.stack([op[n - 1]] * len(sign))
     for j in reversed(range(n - 1)):
-        A = gates.realize(gs[j], nm).reshape(2, 2, 2, 2)
-        B = gates.realize(gs[-1 - j], nm).reshape(2, 2, 2, 2)
-        T = np.einsum("sa,atbu,suv,bvaw->stw", sign, B, T, A) / 2
-    tr = np.einsum("sa,saa->s", sign, T) / 2
-    return complex(np.cos(theta / 2) * tr[0] + 1j * np.sin(theta / 2) * tr[1])
+        T = np.einsum("sa,atbu,suv,bvaw->stw", sign, op[-1 - j].reshape((d,) * 4), T,
+                      op[j].reshape((d,) * 4)) / d
+    return complex((w * np.einsum("sa,saa->s", sign, T)).sum() / d)
 
 
 def unitary_of(c: Circuit, nm: NoiseModel = IDEAL) -> np.ndarray:

@@ -47,6 +47,7 @@ _NOISE = {
 SCHEMAS = {
     "overrotation_sweep": {**_GRID, "n_list": [2, 4, 6], **_NOISE["overrotation"]},
     "phase_sweep": {**_GRID, "n_list": [2, 4, 6], **_NOISE["phase"]},
+    # seeds and seed are checked but unused: f_rc_mean is the exact twirl mean
     "rc_compare": {**_GRID, "noise": "detuning", "n": 2, "seeds": 100, "seed": 2024},
     "repeated_2q": {**_GRID, "eps_2q_amplitude": 0.0225, "phi_diff_deg": 0.0, "reps": 5},
     "contrast_4q": {**_GRID, "eps_2q_amplitude": 0.05, "phi_diff_deg": -8.0,
@@ -127,16 +128,10 @@ def _width_point(args):
 
 
 def _rc_point(args):
-    """Both ladders, then the mean over ``seeds`` randomized compilations."""
-    n, theta, nm, seeds, seed0 = args
-    # the RC mean stays dense: folding the twirl Paulis into the contraction
-    # was measured slower at n = 2 and saved no code
-    standard = circuit.parity_controlled_z(n, theta)
-    target = circuit.unitary_of(standard)  # exp(-i theta/2 Z^(x)n) up to a global phase
-    twirled = (compiler.randomized_compile(standard, seed0 + s) for s in range(seeds))
-    rc = sum(analytics.average_from_entanglement(analytics.entanglement_fidelity(
-        target, circuit.unitary_of(c, nm)), n) for c in twirled)
-    return [theta] + _ladders(n, theta, nm) + [rc / seeds]
+    """Both ladders, then the exact mean over every ``hinv compile --pass rc`` twirl."""
+    n, theta, nm = args
+    rc = compiler.twirled_ladder_fidelity(n, theta, nm=nm)
+    return [theta] + _ladders(n, theta, nm) + [analytics.average_from_entanglement(rc, n)]
 
 
 def _repeated_point(args):
@@ -215,7 +210,7 @@ def build_sweep(cfg: dict):
             if not (2 <= n <= _MAX_WIDTH and seeds >= 1 and seed >= 0):
                 raise ConfigError(f"need n in [2, {_MAX_WIDTH}], seeds >= 1, seed >= 0")
             return (["theta", "f_hidden", "f_standard", "f_rc_mean"], _rc_point,
-                    [(n, t, nm, seeds, seed) for t in grid])
+                    [(n, t, nm) for t in grid])
         if name == "repeated_2q":
             if cfg["reps"] < 1:
                 raise ConfigError("reps must be >= 1")

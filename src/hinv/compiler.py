@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from . import gates
+from . import circuit, gates
 from .circuit import Circuit
-from .gates import INVERSE, STANDARD, Gate
+from .gates import IDEAL, INVERSE, STANDARD, Gate, NoiseModel
 
 
 @dataclass(frozen=True)
@@ -132,16 +133,40 @@ def randomized_compile(c: Circuit, seed: int) -> Circuit:
     rng = np.random.default_rng(seed)
     new: list[Gate] = []
     for g in c.gates:
-        if g.kind != "cnot":
-            new.append(g)
-            continue
-        qc, qt = g.qubits
-        pc, pt = rng.choice(("I", "X", "Y", "Z"), size=2)
-        cc, ct = _cnot_frame(pc, pt)
-        new += gates.pauli(qc, pc) + gates.pauli(qt, pt)
-        new.append(g)
-        new += gates.pauli(qc, cc) + gates.pauli(qt, ct)
+        new += _twirled(g, *rng.choice(list(_PAULI_BITS), size=2)) if g.kind == "cnot" else [g]
     return Circuit(c.n, new)
+
+
+def _twirled(g: Gate, pc: str, pt: str) -> list[Gate]:
+    """CNOT ``g`` between Paulis pc, pt on its qubits and their frame correction."""
+    (qc, qt), (cc, ct) = g.qubits, _cnot_frame(pc, pt)
+    return (gates.pauli(qc, pc) + gates.pauli(qt, pt) + [g]
+            + gates.pauli(qc, cc) + gates.pauli(qt, ct))
+
+
+@lru_cache(maxsize=64)
+def _twirled_cnot(orientation: str, nm: NoiseModel) -> np.ndarray:
+    """Mean of ``D(W) = W (x) W*`` over the 16 realized twirls W of a CNOT, on (control,
+    target) sites that each pair a qubit with its copy.  Memoized, read-only."""
+    Ws = [gates.product(_twirled(gates.cnot(0, 1, orientation), p, q), 2, nm).reshape([2] * 4)
+          for p in _PAULI_BITS for q in _PAULI_BITS]
+    # D(W)[(c c'), (t t'), (b b'), (u u')] = W[c, t, b, u] W*[c', t', b', u']
+    D = sum(np.einsum("ctbu,CTBU->cCtTbBuU", W, W.conj()) for W in Ws).reshape(16, 16) / 16
+    D.flags.writeable = False
+    return D
+
+
+def twirled_ladder_fidelity(n: int, theta: float, orientations=None,
+                            nm: NoiseModel = IDEAL) -> float:
+    """Exact mean over :func:`randomized_compile` twirls of ``|Tr[U^dag V]|^2 / 4**n``
+    for ``parity_controlled_z(n, theta, orientations)``, in O(n).  It equals
+    ``Tr[D(U)^dag D(V)] / 4**n``, and with independent twirls the mean of D(V)
+    is the product of every gate's twirl-averaged D."""
+    def site_op(g):
+        U = gates.realize(g, nm)
+        return _twirled_cnot(g.orientation, nm) if g.kind == "cnot" else np.kron(U, U.conj())
+    gs = circuit.parity_controlled_z(n, theta, orientations).gates
+    return circuit._ladder_trace(theta, gs, site_op).real
 
 
 # ---------------------------------------------------------------------------

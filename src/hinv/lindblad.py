@@ -133,12 +133,11 @@ def xx_gate_spec(theta: float = math.pi / 4, delta: float = 2 * math.pi * 20e3,
     ``amp_scale`` multiplies both tone amplitudes on both ions (an
     amplitude miscalibration; the gate angle scales quadratically with it).
     """
-    if theta <= 0:
-        raise ValueError("theta must be positive; flip a spin phase by pi instead")
+    for key, value in (("theta", theta), ("delta", delta), ("eta", eta)):
+        if not (isinstance(value, (int, float)) and 0 < value < math.inf):
+            raise ValueError(f"{key} must be a finite number > 0, got {value!r}")
     if type(loops) is not int or loops < 1:
         raise ValueError(f"loops must be an integer >= 1, got {loops!r}")
-    if not 0 < delta < math.inf:
-        raise ValueError(f"delta must be a finite number > 0, got {delta!r}")
     if not (isinstance(spin_phases, (tuple, list)) and len(spin_phases) == 2):
         raise ValueError(f"spin_phases needs one value per ion, got {spin_phases!r}")
     T = 2 * math.pi * loops / delta

@@ -87,6 +87,21 @@ def binomial_phase_identity(n, eps):
     return complex(lhs), complex(rhs)
 
 
+def dense_twirled_superop(c, nm):
+    """Mean of ``D(V) = V (x) V*`` over uniform Pauli twirls of every CNOT of ``c``:
+    the ordered product of each gate's twirl-averaged D on the full register.
+    A twirl P before a CNOT is undone by ``C P C^dag`` after it, C the ideal
+    CNOT matrix (a Pauli up to a sign, which D drops)."""
+    paulis = [np.kron(a, b) for a in (I2, SX, SY, SZ) for b in (I2, SX, SY, SZ)]
+    D = np.eye(4**c.n, dtype=complex)
+    for g in c.gates:
+        V = gates.realize(g, nm)
+        twirls = [CNOT4 @ P @ CNOT4.conj().T @ V @ P for P in paulis] if g.kind == "cnot" else [V]
+        full = [embed_on(W, g.qubits, c.n) for W in twirls]
+        D = sum(np.kron(W, W.conj()) for W in full) / len(full) @ D
+    return D
+
+
 @dataclass(frozen=True)
 class FidelityPoint:
     """One fidelity sample whose average and entanglement fidelities agree."""

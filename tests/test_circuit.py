@@ -5,13 +5,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hinv import analytics, channels, circuit, gates, qmat
+from hinv import analytics, channels, circuit, compiler, gates, qmat
 from hinv.analytics import MINUS, PLUS
 from hinv.circuit import HIDDEN_INVERSE
 from hinv.gates import INVERSE, STANDARD, NoiseModel
 
-from conftest import (CNOT4, SX, SZ, embed_on, expi, kron_chain, noisy_circuits,
-                      parity_target, phase_overlap, random_unitary)
+from conftest import (CNOT4, SX, SZ, dense_twirled_superop, embed_on, expi, kron_chain,
+                      noisy_circuits, parity_target, phase_overlap, random_unitary)
 
 
 def both_orientation_lists(n):
@@ -132,10 +132,10 @@ def test_unitary_of_dimension_guard():
 # --- ladder_overlap ---------------------------------------------------------------
 
 @st.composite
-def noisy_ladders(draw):
-    """A parity ladder of width 2..8 with random orientations, its angle, and
-    a noise model with all four knobs set."""
-    n = draw(st.integers(2, 8))
+def noisy_ladders(draw, max_n=8):
+    """A parity ladder of width 2..max_n with random orientations, its angle,
+    and a noise model with all four knobs set."""
+    n = draw(st.integers(2, max_n))
     theta = draw(st.floats(-np.pi, np.pi, allow_nan=False))
     orientations = draw(st.lists(st.sampled_from([STANDARD, INVERSE]),
                                  min_size=2 * (n - 1), max_size=2 * (n - 1)))
@@ -177,6 +177,18 @@ def test_ladder_overlap_past_the_dense_cap(n, rng):
             for orientations, sign in cases:
                 got = abs(circuit.ladder_overlap(n, theta, orientations, nm)) ** 2
                 assert abs(got - analytics.exact_ladder_fe(theta, eps, n, sign)) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(noisy_ladders(max_n=4))
+def test_twirled_ladder_fidelity_matches_dense_oracle(case):
+    # the same transfer chain on qubit-and-copy sites of dimension 4
+    n, theta, orientations, nm = case
+    U = parity_target(n, theta)
+    D = dense_twirled_superop(circuit.parity_controlled_z(n, theta, orientations), nm)
+    want = np.real(np.vdot(np.kron(U, U.conj()), D)) / 4**n
+    got = compiler.twirled_ladder_fidelity(n, theta, orientations, nm)
+    assert abs(got - want) <= 1e-12
 
 
 # --- run_density / run_ptm ------------------------------------------------------

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 from decimal import Decimal
 from pathlib import Path
 
@@ -59,6 +60,15 @@ def test_sweep_output_is_byte_identical(tmp_path):
     assert run(["sweep", cfg, "-o", str(a)]) == 0
     assert run(["sweep", cfg, "-o", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_rc_cost_does_not_depend_on_seeds(tmp_path):
+    # f_rc_mean is the exact twirl mean, so no work grows with seeds (1e8 seeded
+    # twirls per point would take more than a day)
+    cfg = write_cfg(tmp_path, "rc_compare", theta_points=3, seeds=100_000_000)
+    t0 = time.monotonic()
+    assert run(["sweep", cfg, "-o", str(tmp_path / "rc.csv")]) == 0
+    assert time.monotonic() - t0 < 2.0
 
 
 def test_unwritable_output_exits_3(tmp_path):
@@ -226,6 +236,12 @@ BAD_INPUTS = {
                 "loops must be an integer >= 1, got 0"),
     "delta_0": ("ptm", {"calibrate": {"n_fock": 3, "delta": 0}},
                 "delta must be a finite number > 0, got 0"),
+    "eta_0": ("ptm", {"calibrate": {"n_fock": 3, "eta": 0}},
+              "eta must be a finite number > 0, got 0"),
+    "theta_string": ("ptm", {"calibrate": {"n_fock": 3, "theta": "pi/4"}},
+                     "theta must be a finite number > 0, got 'pi/4'"),
+    "delta_string": ("ptm", {"calibrate": {"n_fock": 3, "delta": "1e5"}},
+                     "delta must be a finite number > 0, got '1e5'"),
     "spin_phases_one_entry": ("ptm", {"calibrate": {"n_fock": 3, "spin_phases": [0.5]}},
                               "spin_phases needs one value per ion, got [0.5]"),
     "compile_without_pass": ("compile {src} {out}", "qubits 2\n",
@@ -374,9 +390,9 @@ RECORDED_SHA256 = {
     "phase_sweep": "e1cf30cc42cd8f925236810fbf1d9799098581b8c0486bcd8b8d4f434aea33f2",
     "contrast_4q": "7418bbda6fea2893b69f42605497dd60ba38f39de3bc0418ecb94561f4ff020a",
     "repeated_2q": "54435730915db4f2f4f6cbc815cca25d2c95fdb0e7089fce0cd5d487ab29fa1c",
-    "rc_compare_detuning": "7a3ae277cd7aa63d19d8f0729ad1fa54cfc79b13a29e7c5fea79077e4441ac1b",
+    "rc_compare_detuning": "90575ae8bdc58719d1628f594db66e8b2b9589108f2da51d1a3e01bb0b2918c7",
     "rc_compare_overrotation":
-        "df403d1c8cf74c19b4ede59edef126bb3317f9c35655216459a7ba7fbdb5a223",
+        "686d70f34e4970ab56064db3439a938b6591fdd8a4fd625c42bc7b25dd168cf7",
 }
 
 

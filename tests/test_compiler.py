@@ -8,7 +8,7 @@ from hinv.analytics import MINUS, PLUS
 from hinv.compiler import OrientationRule
 from hinv.gates import INVERSE, STANDARD, NoiseModel
 
-from conftest import noisy_circuits, phase_overlap, rotation
+from conftest import noisy_circuits, parity_target, phase_overlap, rotation
 
 
 # --- site detection -----------------------------------------------------------
@@ -136,6 +136,25 @@ def test_rc_twirls_toward_pauli_channel():
     twirled_err = acc / 100
     offdiag = lambda M: np.abs(M - np.diag(np.diag(M))).sum()
     assert offdiag(bare_err) / offdiag(twirled_err) >= 10.0
+
+
+@pytest.mark.parametrize("nm", [NoiseModel(eps_2q=0.02, eps_1q=0.002),
+                                NoiseModel(delta_detune=0.01)], ids=["overrotation", "detuning"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_rc_seeded_mean_is_the_exact_twirl_mean(n, nm):
+    # every twirled circuit keeps the unitary even if the twirl is biased or
+    # incomplete; only the distribution of the twirls moves this mean.  At
+    # this angle and seed count a twirl over I and Z only misses by > 4 standard
+    # errors in all four cases (a subtler bias can stay inside the bound)
+    theta, seeds = 1.5, 1000
+    base = circuit.parity_controlled_z(n, theta)
+    target = parity_target(n, theta)
+    fe = np.array([analytics.entanglement_fidelity(
+        target, circuit.unitary_of(compiler.randomized_compile(base, s), nm))
+        for s in range(seeds)])
+    stderr = fe.std(ddof=1) / np.sqrt(seeds)
+    exact = compiler.twirled_ladder_fidelity(n, theta, nm=nm)
+    assert stderr > 0 and abs(fe.mean() - exact) <= 4 * stderr
 
 
 # --- SK1 ---------------------------------------------------------------------------
