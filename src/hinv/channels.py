@@ -17,12 +17,16 @@ Complete positivity is checked through the (trace-normalized) Choi matrix
 
     C = (1/4**n) sum_ij R_ij  P_i (x) P_j^T,
 
-which is positive semidefinite iff the channel is CP.
+which is positive semidefinite iff the channel is CP.  It is built one
+Pauli digit at a time (2n single-qubit contractions), and its minimum
+eigenvalue is computed once per PTM object and cached on it: ``PTM.mat``
+is a view of a read-only copy, so it cannot be changed after the check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,13 +42,18 @@ class PTM:
     mat: np.ndarray
 
     def __post_init__(self):
-        mat = np.asarray(self.mat, dtype=float)
+        mat = np.array(self.mat, dtype=float)
         d = 4**self.n
         if mat.shape != (d, d):
             raise ValueError(f"PTM for n={self.n} must be {d}x{d}, got {mat.shape}")
-        mat = mat.copy()
         mat.flags.writeable = False
-        object.__setattr__(self, "mat", mat)
+        # a view of a read-only array cannot be made writeable again
+        object.__setattr__(self, "mat", mat.view())
+
+    @cached_property
+    def min_choi_eigenvalue(self) -> float:
+        """The CP margin :func:`choi_min_eigenvalue`, computed on first use."""
+        return choi_min_eigenvalue(self)
 
 
 def ptm_of_unitary(U) -> PTM:
@@ -57,9 +66,9 @@ def ptm_of_unitary(U) -> PTM:
     if not qmat.is_unitary(U):
         raise ValueError("ptm_of_unitary requires a unitary matrix")
     P = qmat.pauli_basis(n)
-    conj = np.einsum("ab,jbc,dc->jad", U, P, U.conj(), optimize=True)
-    R = np.real(np.einsum("iab,jba->ij", P, conj, optimize=True)) / dim
-    return PTM(n, R)
+    conj = (U @ P @ U.conj().T).reshape(4**n, -1)  # row j: U P_j U^dag
+    # Tr[P_i M] = sum_ab conj(P_i)_ab M_ab, as every P_i is Hermitian
+    return PTM(n, np.real(P.reshape(4**n, -1).conj() @ conj.T) / dim)
 
 
 def depolarizing_ptm(n: int, p: float) -> PTM:
@@ -99,11 +108,14 @@ def avg_fidelity_from_ptm(R: PTM, R_ideal: PTM) -> float:
 
 def choi_matrix(R: PTM) -> np.ndarray:
     """Trace-normalized Choi matrix of the channel."""
-    P = qmat.pauli_basis(R.n)
-    PT = P.transpose(0, 2, 1)
-    C = np.einsum("ij,iab,jcd->acbd", R.mat, P, PT, optimize=True)
-    d2 = (2**R.n) ** 2
-    return C.reshape(d2, d2) / 4**R.n
+    n, P = R.n, qmat.pauli_basis(1)
+    C = R.mat.reshape((4,) * 2 * n)
+    for k in range(2 * n):  # leading Pauli digit -> its 2x2 axes, appended last
+        C = np.tensordot(C, P if k < n else P.transpose(0, 2, 1), axes=(0, 0))
+    # axes are now (a1, b1, ..., an, bn, c1, d1, ...); C[(a, c), (b, d)]
+    C = C.transpose([*range(0, 2 * n, 2), *range(2 * n, 4 * n, 2),
+                     *range(1, 2 * n, 2), *range(2 * n + 1, 4 * n, 2)])
+    return C.reshape(4**n, 4**n) / 4**n
 
 
 def choi_min_eigenvalue(R: PTM) -> float:
@@ -119,21 +131,19 @@ def is_trace_preserving(R: PTM) -> bool:
 
 
 def is_cptp(R: PTM) -> bool:
-    return is_trace_preserving(R) and choi_min_eigenvalue(R) >= CP_EIG_TOL
+    return is_trace_preserving(R) and R.min_choi_eigenvalue >= CP_EIG_TOL
 
 
 def pauli_vector(rho, n: int) -> np.ndarray:
     """Coefficients ``Tr[P_i rho]`` (real for Hermitian rho)."""
     P = qmat.pauli_basis(n)
-    return np.real(np.einsum("iab,ba->i", P, np.asarray(rho, dtype=complex),
-                             optimize=True))
+    return np.real(P.reshape(4**n, -1) @ np.asarray(rho, dtype=complex).T.reshape(-1))
 
 
 def matrix_from_pauli_vector(vec, n: int) -> np.ndarray:
     """Inverse of :func:`pauli_vector`: ``rho = sum_i vec_i P_i / 2**n``."""
     P = qmat.pauli_basis(n)
-    return np.einsum("i,iab->ab", np.asarray(vec, dtype=float), P,
-                     optimize=True) / 2**n
+    return (np.asarray(vec, dtype=float) @ P.reshape(4**n, -1)).reshape(P.shape[1:]) / 2**n
 
 
 def apply_ptm(R: PTM, rho) -> np.ndarray:

@@ -197,17 +197,14 @@ def channels_after_two_qubit(c: Circuit, ptm) -> dict:
 def _checked_channels(c: Circuit, channel_map) -> dict:
     if not channel_map:
         return {}
-    # one CPTP check per distinct PTM object: PTM.mat is read-only, and
-    # channels_after_two_qubit attaches the same object at every gate
-    cptp = {}
+    # is_cptp reads the Choi margin cached on the PTM, so the object that
+    # channels_after_two_qubit attaches at every gate is diagonalized once
     for i, R in channel_map.items():
         if not (0 <= i < len(c.gates)):
             raise ValueError(f"channel index {i} out of range")
         if R.n != c.n:
             raise ValueError(f"channel on {R.n} qubits attached to {c.n}-qubit circuit")
-        if id(R) not in cptp:
-            cptp[id(R)] = channels.is_cptp(R)
-        if not cptp[id(R)]:
+        if not channels.is_cptp(R):
             raise ValueError(f"channel at gate {i} is not CPTP")
     return dict(channel_map)
 

@@ -133,8 +133,9 @@ def xx_gate_spec(theta: float = math.pi / 4, delta: float = 2 * math.pi * 20e3,
     ``amp_scale`` multiplies both tone amplitudes on both ions (an
     amplitude miscalibration; the gate angle scales quadratically with it).
     """
-    for key, value in (("theta", theta), ("delta", delta), ("eta", eta)):
-        if not (isinstance(value, (int, float)) and 0 < value < math.inf):
+    for key, value in dict(theta=theta, delta=delta, eta=eta, amp_scale=amp_scale).items():
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)  # JSON true is 1
+        if not (number and 0 < value < math.inf):
             raise ValueError(f"{key} must be a finite number > 0, got {value!r}")
     if type(loops) is not int or loops < 1:
         raise ValueError(f"loops must be an integer >= 1, got {loops!r}")

@@ -4,6 +4,7 @@ and a random-circuit strategy."""
 import math
 from dataclasses import dataclass
 from functools import reduce
+from itertools import product
 
 import numpy as np
 import pytest
@@ -76,6 +77,28 @@ def random_unitary(rng, dim):
 def random_hermitian(rng, dim):
     M = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return (M + M.conj().T) / 2
+
+
+def pauli_strings(n):
+    """The 4**n Pauli strings, lexicographic with I < X < Y < Z, as explicit
+    Kronecker products (not qmat.pauli_basis)."""
+    return [kron_chain(*ops) for ops in product((I2, SX, SY, SZ), repeat=n)]
+
+
+def choi_by_definition(R, n):
+    """sum_ij R_ij P_i (x) P_j^T / 4**n, one term per nonzero R_ij."""
+    P = pauli_strings(n)
+    C = np.zeros((4**n, 4**n), dtype=complex)
+    for i, j in zip(*np.nonzero(R)):
+        C += R[i, j] * np.kron(P[i], P[j].T)
+    return C / 4**n
+
+
+def ptm_by_definition(U):
+    """R_ij = Tr[P_i U P_j U^dag] / d, one trace per entry."""
+    d = U.shape[0]
+    P = pauli_strings(int(round(math.log2(d))))
+    return np.array([[np.trace(Pi @ U @ Pj @ U.conj().T).real / d for Pj in P] for Pi in P])
 
 
 def binomial_phase_identity(n, eps):

@@ -4,7 +4,8 @@ import pytest
 from hinv import channels, gates, qmat
 from hinv.channels import PTM
 
-from conftest import SX, SZ, kron_chain, random_unitary, rotation
+from conftest import (SX, SZ, choi_by_definition, kron_chain, pauli_strings,
+                      ptm_by_definition, random_hermitian, random_unitary, rotation)
 
 
 def superoperator_ptm(U):
@@ -110,6 +111,46 @@ def test_cptp_checks(rng):
     # transposition is positive but not completely positive
     T = np.diag([1.0, 1.0, -1.0, 1.0])
     assert channels.choi_min_eigenvalue(PTM(1, T)) < -0.4
+
+
+def test_ptm_matrix_cannot_be_made_writeable_again():
+    R = channels.depolarizing_ptm(1, 0.9)
+    assert R.min_choi_eigenvalue > 0
+    with pytest.raises(ValueError):
+        R.mat.flags.writeable = True
+    with pytest.raises(ValueError):
+        R.mat[1, 1] = 5.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_choi_matrix_matches_definition(rng, n):
+    # a random R is not CP; at n=4 sparse R keep the oracle's loop short
+    R = rng.standard_normal((4**n, 4**n))
+    cp = channels.depolarizing_ptm(n, 0.7)
+    if n == 4:
+        R *= rng.random(R.shape) < 1e-3
+    else:
+        cp = channels.compose_ptms([channels.ptm_of_unitary(random_unitary(rng, 2**n)), cp])
+    for mat in (R, cp.mat):
+        got = channels.choi_matrix(PTM(n, mat))
+        assert np.abs(got - choi_by_definition(mat, n)).max() < 1e-13
+    assert channels.choi_min_eigenvalue(PTM(n, R)) < -1e-3
+    assert channels.is_cptp(cp)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_ptm_of_unitary_matches_definition(rng, n):
+    U = random_unitary(rng, 2**n)
+    assert np.abs(channels.ptm_of_unitary(U).mat - ptm_by_definition(U)).max() < 1e-13
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_pauli_vector_matches_definition(rng, n):
+    rho, P = random_hermitian(rng, 2**n), pauli_strings(n)
+    vec = np.array([np.trace(Pi @ rho).real for Pi in P])
+    assert np.abs(channels.pauli_vector(rho, n) - vec).max() < 1e-13
+    back = sum(v * Pi for v, Pi in zip(vec, P)) / 2**n
+    assert np.abs(channels.matrix_from_pauli_vector(vec, n) - back).max() < 1e-13
 
 
 def test_pauli_vector_round_trip(rng):

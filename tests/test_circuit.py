@@ -268,6 +268,11 @@ def test_cptp_check_runs_once_per_shared_ptm(monkeypatch):
     assert len(channel_map) == 6
     circuit.run_density(c, NoiseModel(eps_2q=0.02), channel_map)
     assert len(calls) == 1
+    # the margin is cached on the PTM, so it outlives one simulator call
+    channel_map[max(channel_map)] = channels.depolarizing_ptm(4, 0.8)
+    circuit.run_density(c, NoiseModel(eps_2q=0.02), channel_map)
+    circuit.run_ptm(c, NoiseModel(eps_2q=0.02), channel_map)
+    assert len(calls) == 2 and calls[1] is channel_map[max(channel_map)]
 
 
 def test_non_cptp_channel_reports_its_gate_index():

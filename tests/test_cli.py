@@ -242,6 +242,12 @@ BAD_INPUTS = {
                      "theta must be a finite number > 0, got 'pi/4'"),
     "delta_string": ("ptm", {"calibrate": {"n_fock": 3, "delta": "1e5"}},
                      "delta must be a finite number > 0, got '1e5'"),
+    "amp_scale_string": ("ptm", {"calibrate": {"n_fock": 3, "amp_scale": "x"}},
+                         "amp_scale must be a finite number > 0, got 'x'"),
+    "amp_scale_negative": ("ptm", {"calibrate": {"n_fock": 3, "amp_scale": -1}},
+                           "amp_scale must be a finite number > 0, got -1"),
+    "theta_bool": ("ptm", {"calibrate": {"n_fock": 3, "theta": True}},
+                   "theta must be a finite number > 0, got True"),
     "spin_phases_one_entry": ("ptm", {"calibrate": {"n_fock": 3, "spin_phases": [0.5]}},
                               "spin_phases needs one value per ion, got [0.5]"),
     "compile_without_pass": ("compile {src} {out}", "qubits 2\n",
@@ -301,6 +307,17 @@ def test_help_exits_0(capsys, argv):
         run(argv)
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("usage: hinv")
+
+
+def test_contrast_sweep_checks_its_channel_once(tmp_path, monkeypatch):
+    # one depolarizing PTM after every CNOT of 3 points x 2 configurations
+    calls = []
+    real = channels.choi_min_eigenvalue
+    monkeypatch.setattr(channels, "choi_min_eigenvalue",
+                        lambda R: calls.append(R) or real(R))
+    cfg = write_cfg(tmp_path, "contrast_4q", theta_points=3)
+    assert run(["sweep", cfg, "-o", str(tmp_path / "out.csv")]) == 0
+    assert len(calls) == 1
 
 
 def _out_of_range_point(monkeypatch):
