@@ -36,7 +36,7 @@ CP_EIG_TOL = -1e-8
 TP_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PTM:
     n: int
     mat: np.ndarray

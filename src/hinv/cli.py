@@ -113,7 +113,7 @@ def _noise_from_cfg(cfg) -> gates.NoiseModel:
 
 
 # ---------------------------------------------------------------------------
-# point functions
+# row functions
 
 def _ladders(n, theta, nm):
     """Average fidelities of the hidden-inverse and the standard ladder."""
@@ -122,21 +122,8 @@ def _ladders(n, theta, nm):
         abs(circuit.ladder_overlap(n, theta, o, nm)) ** 2, n) for o in (hidden, None)]
 
 
-def _width_point(args):
-    n, theta, nm = args
-    return [n, theta] + _ladders(n, theta, nm)
-
-
-def _rc_point(args):
-    """Both ladders, then the exact mean over every ``hinv compile --pass rc`` twirl."""
-    n, theta, nm = args
-    rc = compiler.twirled_ladder_fidelity(n, theta, nm=nm)
-    return [theta] + _ladders(n, theta, nm) + [analytics.average_from_entanglement(rc, n)]
-
-
-def _repeated_point(args):
+def _repeated_row(theta, n, reps, nm):
     """Final-state fidelity of ``reps`` blocks in each configuration."""
-    n, theta, reps, nm = args
     row = [theta]
     for config in (circuit.HIDDEN_INVERSE, gates.STANDARD):
         c = circuit.repeated_block_circuit(n, theta, reps, config)
@@ -146,10 +133,9 @@ def _repeated_point(args):
     return row
 
 
-def _contrast_point(args):
+def _contrast_row(theta, n, nm, depol):
     """All-0, all-1 and other populations of one block in each configuration,
     with ``depol`` after every two-qubit gate."""
-    n, theta, nm, depol = args
     row = [theta]
     for config in (circuit.HIDDEN_INVERSE, gates.STANDARD):
         c = circuit.repeated_block_circuit(n, theta, 1, config)
@@ -158,13 +144,11 @@ def _contrast_point(args):
     return row
 
 
-def _sk1_viability_point(args):
-    eps_amp, gamma, delta, steps = args
-    kw = dict(delta=delta, gamma_heat=gamma, amp_scale=1.0 + eps_amp)
+def _sk1_row(eps_amp, gamma, specs, steps):
+    """Raw and SK1-corrected fidelity of the evolved pulses ``specs``."""
     ideal = channels.ptm_of_unitary(gates.xx_unitary(math.pi / 4))
-    # the SK1 target pulse is the raw gate, xx_gate_spec(**kw)
-    raw, plus = [lindblad.ms_gate_channel(s, steps)
-                 for s in lindblad.sk1_pulse_specs(math.pi / 4, **kw)]
+    # the SK1 target pulse is the raw gate
+    raw, plus = [lindblad.ms_gate_channel(s, steps) for s in specs]
     sk1 = channels.compose_ptms([raw, plus, lindblad.sk1_minus_loop(plus)])
     f_raw = channels.avg_fidelity_from_ptm(raw, ideal)
     f_sk1 = channels.avg_fidelity_from_ptm(sk1, ideal)
@@ -182,24 +166,29 @@ def _config_stage(what: str):
 
 
 def build_sweep(cfg: dict):
-    """Header, point function and tasks of an effective config.
+    """Header and CSV rows of an effective config.
 
-    Every fixed input is built here, so any failure is a :class:`ConfigError`.
+    Every input is checked, and every fixed input built, before ``rows``
+    exists, so anything raised here is a :class:`ConfigError` (exit 2).
+    ``rows`` is a generator: it does no point work until it is read, outside
+    this config stage, so anything raised while computing a row exits 3.
     """
     name = cfg["experiment"]
     with _config_stage(f"bad {name} config"):
         if name == "sk1_viability":
             if min(cfg["gamma_list"]) < 0:
                 raise ConfigError("gamma_list entries must be >= 0")
-            # checks delta and steps_per_period, and keeps every evolved pulse
-            # within the RK4 step limit (loop(-phi1) is derived, not evolved)
-            for e in cfg["eps_amplitude_list"]:
-                for s in lindblad.sk1_pulse_specs(delta=cfg["delta"], amp_scale=1 + e):
-                    lindblad._n_steps(s, cfg["steps_per_period"])
-            tasks = [(float(e), float(g), float(cfg["delta"]), cfg["steps_per_period"])
-                     for e in cfg["eps_amplitude_list"] for g in cfg["gamma_list"]]
+            steps = cfg["steps_per_period"]
+            points = [(e, g, lindblad.sk1_pulse_specs(delta=float(cfg["delta"]),
+                                                      gamma_heat=g, amp_scale=1.0 + e))
+                      for e in map(float, cfg["eps_amplitude_list"])
+                      for g in map(float, cfg["gamma_list"])]
+            # each evolved pulse keeps to the RK4 step limit (loop(-phi1) is derived)
+            for _, _, specs in points:
+                for s in specs:
+                    lindblad._n_steps(s, steps)
             return (["eps_amplitude", "gamma_heat", "f_raw", "f_sk1", "improvement"],
-                    _sk1_viability_point, tasks)
+                    (_sk1_row(e, g, specs, steps) for e, g, specs in points))
         lo, hi, pts = cfg["theta_min"], cfg["theta_max"], cfg["theta_points"]
         if pts < 1 or lo < -math.pi - 1e-12 or hi > math.pi + 1e-12 or lo > hi:
             raise ConfigError(f"bad theta grid: [{lo}, {hi}] x {pts}")
@@ -209,22 +198,23 @@ def build_sweep(cfg: dict):
             n, seeds, seed = cfg["n"], cfg["seeds"], cfg["seed"]
             if not (2 <= n <= _MAX_WIDTH and seeds >= 1 and seed >= 0):
                 raise ConfigError(f"need n in [2, {_MAX_WIDTH}], seeds >= 1, seed >= 0")
-            return (["theta", "f_hidden", "f_standard", "f_rc_mean"], _rc_point,
-                    [(n, t, nm) for t in grid])
+            return (["theta", "f_hidden", "f_standard", "f_rc_mean"],
+                    ([t] + _ladders(n, t, nm) + [analytics.average_from_entanglement(
+                        compiler.twirled_ladder_fidelity(n, t, nm=nm), n)] for t in grid))
         if name == "repeated_2q":
             if cfg["reps"] < 1:
                 raise ConfigError("reps must be >= 1")
-            return (["theta", "f_hidden", "f_standard"], _repeated_point,
-                    [(2, t, cfg["reps"], nm) for t in grid])
+            return (["theta", "f_hidden", "f_standard"],
+                    (_repeated_row(t, 2, cfg["reps"], nm) for t in grid))
         if name == "contrast_4q":
             depol = channels.depolarizing_ptm(4, cfg["p_depol"])
             return (["theta", "p0000_hidden", "p1111_hidden", "pother_hidden",
                      "p0000_standard", "p1111_standard", "pother_standard"],
-                    _contrast_point, [(4, t, nm, depol) for t in grid])
+                    (_contrast_row(t, 4, nm, depol) for t in grid))
         if not all(2 <= n <= _MAX_WIDTH for n in cfg["n_list"]):
             raise ConfigError(f"n_list entries must be in [2, {_MAX_WIDTH}]")
-        return (["n", "theta", "f_hidden", "f_standard"], _width_point,
-                [(n, t, nm) for n in cfg["n_list"] for t in grid])
+        return (["n", "theta", "f_hidden", "f_standard"],
+                ([n, t] + _ladders(n, t, nm) for n in cfg["n_list"] for t in grid))
 
 
 def _fmt(x) -> str:
@@ -239,8 +229,8 @@ def run_sweep(cfg, out_path=None) -> None:
     out_path = out_path or cfg.get("output")
     if not out_path:
         raise ConfigError("no output path (use -o or config key 'output')")
-    header, point, tasks = build_sweep(cfg)
-    rows = [point(t) for t in tasks]
+    header, rows = build_sweep(cfg)
+    rows = list(rows)
     for row in rows:
         for col, x in zip(header, row):
             if col.startswith(("f_", "p")) and not (-1e-9 <= float(x) <= 1 + 1e-9):

@@ -64,17 +64,24 @@ class Segment:
     delta: float             # symmetric detuning during the segment, rad/s
 
     def __post_init__(self):
+        _numbers(self, "duration", "delta")
         if not 0 < self.duration < math.inf:
             raise ValueError("segment duration must be positive and finite")
 
 
-def _per_ion(spec, *names) -> None:
-    """Store each named field of a frozen spec as a tuple of two, one per ion."""
+def _numbers(spec, *names, per_ion=False) -> None:
+    """Check that each named field of a frozen spec holds a number, or with
+    ``per_ion`` one number per ion, stored as a tuple of two.  A bool is not a
+    number here: JSON ``true`` would pass as 1."""
     for name in names:
-        pair = tuple(getattr(spec, name))
-        if len(pair) != 2:
-            raise ValueError(f"{name} needs one value per ion, got {len(pair)}")
-        object.__setattr__(spec, name, pair)
+        values = tuple(getattr(spec, name)) if per_ion else (getattr(spec, name),)
+        if per_ion and len(values) != 2:
+            raise ValueError(f"{name} needs one value per ion, got {len(values)}")
+        for x in values:
+            if isinstance(x, bool) or not isinstance(x, (int, float)):
+                raise ValueError(f"{name} must be a number, got {x!r}")
+        if per_ion:
+            object.__setattr__(spec, name, values)
 
 
 @dataclass(frozen=True)
@@ -83,7 +90,8 @@ class ModeSpec:
     offset: float = 0.0               # mode frequency offset from reference, rad/s
 
     def __post_init__(self):
-        _per_ion(self, "eta")
+        _numbers(self, "eta", per_ion=True)
+        _numbers(self, "offset")
 
 
 @dataclass(frozen=True)
@@ -102,7 +110,8 @@ class LindbladSpec:
     mode_nbar: float = 0.0            # thermal occupation of the initial mode state
 
     def __post_init__(self):
-        _per_ion(self, "omega_r", "omega_b", "phi_r", "phi_b", "stark")
+        _numbers(self, "omega_r", "omega_b", "phi_r", "phi_b", "stark", per_ion=True)
+        _numbers(self, "tau_m", "gamma_heat", "tau_l", "mode_nbar")
         object.__setattr__(self, "modes", tuple(self.modes))
         object.__setattr__(self, "segments", tuple(self.segments))
         if not isinstance(self.n_fock, int) or self.n_fock < 2:
@@ -382,12 +391,12 @@ def ms_gate_channel(spec: LindbladSpec,
 
 def spec_from_dict(d: dict) -> LindbladSpec:
     if "calibrate" in d:
-        cal = dict(d["calibrate"])
-        return xx_gate_spec(**cal)
+        if len(d) > 1:
+            raise ValueError(f"no other keys with calibrate: {sorted(set(d) - {'calibrate'})}")
+        return xx_gate_spec(**d["calibrate"])
     kw = dict(d)
-    kw["modes"] = tuple(ModeSpec(eta=m["eta"], offset=m.get("offset", 0.0))
-                        for m in kw["modes"])
-    kw["segments"] = tuple(Segment(s["duration"], s["delta"]) for s in kw["segments"])
+    kw["modes"] = tuple(ModeSpec(**m) for m in kw["modes"])
+    kw["segments"] = tuple(Segment(**s) for s in kw["segments"])
     for key in ("tau_m", "tau_l"):
         if kw.get(key) in (None, "inf"):
             kw.pop(key, None)

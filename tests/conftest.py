@@ -2,6 +2,11 @@
 and a random-circuit strategy."""
 
 import math
+import os
+
+# one BLAS thread: the small Lindblad GEMMs run slower on two threads of a busy host
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from dataclasses import dataclass
 from functools import reduce
 from itertools import product

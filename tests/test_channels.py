@@ -122,6 +122,13 @@ def test_ptm_matrix_cannot_be_made_writeable_again():
         R.mat[1, 1] = 5.0
 
 
+def test_ptm_equality_and_hash_go_by_identity():
+    # like its cached Choi margin, a PTM's identity is the object
+    R, R2 = channels.depolarizing_ptm(1, 0.9), channels.depolarizing_ptm(1, 0.9)
+    assert R == R and R != R2
+    assert {R, R, R2} == {R, R2} and len({R, R2}) == 2
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_choi_matrix_matches_definition(rng, n):
     # a random R is not CP; at n=4 sparse R keep the oracle's loop short

@@ -286,6 +286,27 @@ BAD_INPUTS = {
                              "1000000 RK4 steps per mode round exceed the limit 100000"),
     "steps_per_period_huge": ("ptm {src} {out} --steps-per-period 1000000", SMALL_SPEC,
                               "1000000 RK4 steps per mode round exceed the limit 100000"),
+    "key_beside_calibrate": ("ptm", {"calibrate": {"n_fock": 3}, "n_fock": 99,
+                                     "gamma_heat": 1e9},
+                             "no other keys with calibrate: ['gamma_heat', 'n_fock']"),
+    "mode_key_typo": ("ptm", {**FULL_SPEC, "modes": [{"eta": [0.1, 0.1], "offst": 5}]},
+                      "unexpected keyword argument 'offst'"),
+    "mode_without_eta": ("ptm", {**FULL_SPEC, "modes": [{"offset": 0.0}]},
+                         "missing 1 required positional argument: 'eta'"),
+    "segment_key_typo": ("ptm", {**FULL_SPEC, "segments": [{"duration": 1e-4, "delta": 1e5,
+                                                            "dleta": 0}]},
+                         "unexpected keyword argument 'dleta'"),
+    "mode_nbar_bool": ("ptm", {**FULL_SPEC, "mode_nbar": True},
+                       "mode_nbar must be a number, got True"),
+    "tau_m_bool": ("ptm", {**FULL_SPEC, "tau_m": True}, "tau_m must be a number, got True"),
+    "calibrate_tau_m_bool": ("ptm", {"calibrate": {"n_fock": 3, "tau_m": True}},
+                             "tau_m must be a number, got True"),
+    "gamma_heat_string": ("ptm", {"calibrate": {"n_fock": 3, "gamma_heat": "x"}},
+                          "gamma_heat must be a number, got 'x'"),
+    "tau_m_string": ("ptm", {"calibrate": {"n_fock": 3, "tau_m": "5"}},
+                     "tau_m must be a number, got '5'"),
+    "eta_entry_string": ("ptm", {**FULL_SPEC, "modes": [{"eta": [0.1, "x"]}]},
+                         "eta must be a number, got 'x'"),
 }
 
 
@@ -321,7 +342,7 @@ def test_contrast_sweep_checks_its_channel_once(tmp_path, monkeypatch):
 
 
 def _out_of_range_point(monkeypatch):
-    monkeypatch.setattr(cli, "_width_point", lambda args: [args[0], args[1], 1.5, 0.5])
+    monkeypatch.setattr(cli, "_ladders", lambda n, theta, nm: [1.5, 0.5])
     return ["sweep", {"experiment": "overrotation_sweep", "n_list": [2], "theta_points": 2}]
 
 
@@ -375,14 +396,25 @@ SWEEP_CONFIGS = sorted(p for p in CONFIGS.glob("*.json")
 @pytest.mark.parametrize("path", SWEEP_CONFIGS, ids=lambda p: p.stem)
 def test_shipped_sweep_config_builds(path):
     cfg = cli.effective_config(json.loads(path.read_text()))
-    header, point, tasks = cli.build_sweep(cfg)
-    task = tasks[0]
-    if point is cli._sk1_viability_point:
-        task = task[:-1] + (1,)  # one step per period: 50 RK4 steps per pulse
-    row = point(task)
+    sk1 = cfg["experiment"] == "sk1_viability"
+    if sk1:
+        cfg["steps_per_period"] = 1  # one step per period: 50 RK4 steps per pulse
+    header, rows = cli.build_sweep(cfg)
+    row = next(rows)
     assert len(row) == len(header)
-    if point is cli._sk1_viability_point:  # improvement is printed to 1e-12 absolute
+    if sk1:  # improvement is printed to 1e-12 absolute
         assert Decimal(cli._fmt(row[-1])).as_tuple().exponent >= -12
+
+
+def test_build_sweep_does_no_point_work(monkeypatch):
+    # rows are computed as they are read, outside the config stage (exit 3, not 2)
+    calls = []
+    real = cli._ladders
+    monkeypatch.setattr(cli, "_ladders", lambda *args: calls.append(args) or real(*args))
+    cfg = cli.effective_config({"experiment": "overrotation_sweep", "theta_points": 3})
+    header, rows = cli.build_sweep(cfg)
+    assert calls == []
+    assert len(list(rows)) == 9 and len(calls) == 9
 
 
 def test_shipped_configs_are_all_covered():
