@@ -4,7 +4,7 @@ Subcommands::
 
     hinv sweep <config.json> [-o out.csv]
     hinv compile <in.circ> <out.circ> --pass hidden|rc|sk1 [--seed N] [--threshold RAD]
-    hinv ptm <lindblad-spec.json> <out.csv> [--steps-per-period N]
+    hinv ptm <lindblad-spec.json> <out.csv> [--steps-per-period N (no effect)]
 
 A sweep config names an experiment of :data:`SCHEMAS`, the one table of
 its keys and their defaults.  Sweeps emit deterministic CSV: a header
@@ -144,11 +144,11 @@ def _contrast_row(theta, n, nm, depol):
     return row
 
 
-def _sk1_row(eps_amp, gamma, specs, steps):
+def _sk1_row(eps_amp, gamma, specs):
     """Raw and SK1-corrected fidelity of the evolved pulses ``specs``."""
     ideal = channels.ptm_of_unitary(gates.xx_unitary(math.pi / 4))
     # the SK1 target pulse is the raw gate
-    raw, plus = [lindblad.ms_gate_channel(s, steps) for s in specs]
+    raw, plus = [lindblad.ms_gate_channel(s) for s in specs]
     sk1 = channels.compose_ptms([raw, plus, lindblad.sk1_minus_loop(plus)])
     f_raw = channels.avg_fidelity_from_ptm(raw, ideal)
     f_sk1 = channels.avg_fidelity_from_ptm(sk1, ideal)
@@ -178,17 +178,18 @@ def build_sweep(cfg: dict):
         if name == "sk1_viability":
             if min(cfg["gamma_list"]) < 0:
                 raise ConfigError("gamma_list entries must be >= 0")
-            steps = cfg["steps_per_period"]
+            if cfg["steps_per_period"] < 1:  # checked, but no effect: propagation is exact
+                raise ConfigError(f"steps_per_period must be >= 1, got {cfg['steps_per_period']}")
             points = [(e, g, lindblad.sk1_pulse_specs(delta=float(cfg["delta"]),
                                                       gamma_heat=g, amp_scale=1.0 + e))
                       for e in map(float, cfg["eps_amplitude_list"])
                       for g in map(float, cfg["gamma_list"])]
-            # each evolved pulse keeps to the RK4 step limit (loop(-phi1) is derived)
+            # each evolved pulse keeps to the work limit (loop(-phi1) is derived)
             for _, _, specs in points:
                 for s in specs:
-                    lindblad._n_steps(s, steps)
+                    lindblad.check_work(s)
             return (["eps_amplitude", "gamma_heat", "f_raw", "f_sk1", "improvement"],
-                    (_sk1_row(e, g, specs, steps) for e, g, specs in points))
+                    (_sk1_row(e, g, specs) for e, g, specs in points))
         lo, hi, pts = cfg["theta_min"], cfg["theta_max"], cfg["theta_points"]
         if pts < 1 or lo < -math.pi - 1e-12 or hi > math.pi + 1e-12 or lo > hi:
             raise ConfigError(f"bad theta grid: [{lo}, {hi}] x {pts}")
@@ -296,8 +297,8 @@ def main(argv=None) -> int:
     p_ptm = sub.add_parser("ptm", help="extract a pulse-level MS gate PTM to CSV")
     p_ptm.add_argument("spec")
     p_ptm.add_argument("output")
-    p_ptm.add_argument("--steps-per-period", type=int,
-                       default=lindblad.DEFAULT_STEPS_PER_PERIOD)
+    p_ptm.add_argument("--steps-per-period", type=int, default=None,
+                       help="checked (>= 1) but has no effect: the propagation is exact")
 
     try:
         args = parser.parse_args(argv)
@@ -310,14 +311,14 @@ def main(argv=None) -> int:
             run_compile(args.input, args.output, args.pass_name, args.seed,
                         args.threshold)
         elif args.cmd == "ptm":
-            if args.steps_per_period < 1:
+            if args.steps_per_period is not None and args.steps_per_period < 1:
                 raise ConfigError("--steps-per-period must be >= 1, "
                                   f"got {args.steps_per_period}")
             with _config_stage(f"cannot read spec {args.spec}"):
                 spec = lindblad.load_spec(args.spec)
-                lindblad._n_steps(spec, args.steps_per_period)  # the RK4 step limit
-            channels.write_csv(lindblad.ms_gate_channel(spec, args.steps_per_period),
-                               args.output)
+            with _config_stage(f"bad spec {args.spec}"):
+                lindblad.check_work(spec)
+            channels.write_csv(lindblad.ms_gate_channel(spec), args.output)
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ConfigError) else 3

@@ -192,9 +192,10 @@ def noisy_circuits(draw):
 
 
 # ---------------------------------------------------------------------------
-# dense Lindblad reference: full collapse operators, drive terms summed from
-# a per-term tone-phase walk, and the rhs K rho + rho K^dag + sum L rho L^dag
-# (valid for any input, Hermitian or not)
+# dense Lindblad references: full collapse operators and the lab-frame H(t),
+# drive terms summed from a per-term tone-phase walk; the exact frame
+# propagator, and lab-frame RK4 with the rhs K rho + rho K^dag + sum L rho L^dag
+# (both valid for any input, Hermitian or not)
 
 def _ladder(nf):
     return np.diag(np.sqrt(np.arange(1, nf, dtype=float)), 1).astype(complex)
@@ -265,13 +266,46 @@ def dense_evolve(rhos, spec, mode_index, steps):
     return r
 
 
-def evolve(rho, spec, steps_per_period=lindblad.DEFAULT_STEPS_PER_PERIOD):
-    """One Hermitian matrix through the integrator, as ms_gate_channel evolves a stack."""
-    return lindblad._evolve_batch(np.asarray(rho, complex)[None], spec, 0, steps_per_period)[0]
+def frame_evolve(rhos, spec, mode_index):
+    """Exact evolution in the co-rotating frame: one dense Kronecker-Liouvillian
+    exponential (scipy ``expm``) per segment, then ``W(T)`` back to the lab frame.
+
+    ``W(t) = exp(-i[(acc(t) - o t) a^dag a + sum_n s_n t |1><1|_n])`` keeps every
+    drive term at its t = 0 coefficient and adds ``-(delta_seg - o) a^dag a -
+    sum_n s_n |1><1|_n`` to H, constant within a segment.  Row-major vec:
+    ``vec(A rho B) = (A (x) B^T) vec(rho)``.
+    """
+    nf = spec.n_fock
+    D = 4 * nf
+    one = np.diag([0.0, 1.0]).astype(complex)
+    N = kron_chain(I2, I2, np.diag(np.arange(nf, dtype=complex)))
+    P1, P2 = kron_chain(one, I2, np.eye(nf)), kron_chain(I2, one, np.eye(nf))
+    ID = np.eye(D)
+    Ls = collapse_operators(spec)
+    dissipator = sum((np.kron(L, L.conj()) - 0.5 * np.kron(L.conj().T @ L, ID)
+                      - 0.5 * np.kron(ID, (L.conj().T @ L).T) for L in Ls),
+                     np.zeros((D * D, D * D), dtype=complex))
+    offset = spec.modes[mode_index].offset
+    v = np.asarray(rhos, dtype=complex).reshape(-1, D * D)
+    for seg in spec.segments:
+        H = (dense_hamiltonian(spec, mode_index, 0.0) - (seg.delta - offset) * N
+             - spec.stark[0] * P1 - spec.stark[1] * P2)
+        liouvillian = -1j * (np.kron(H, ID) - np.kron(ID, H.T)) + dissipator
+        v = v @ expm(liouvillian * seg.duration).T
+    T = spec.total_time
+    turn = sum(seg.delta * seg.duration for seg in spec.segments) - offset * T
+    W = expi(turn * N + spec.stark[0] * T * P1 + spec.stark[1] * T * P2)
+    return W @ v.reshape(np.shape(rhos)) @ W.conj().T
 
 
-def dense_gate_channel(spec, steps):
-    """Two-qubit PTM: each mode in turn, tensored in, evolved, traced out."""
+def evolve(rho, spec):
+    """One Hermitian matrix through the propagator, as ms_gate_channel evolves a stack."""
+    return lindblad._evolve_batch(np.asarray(rho, complex)[None], spec, 0)[0]
+
+
+def dense_gate_channel(spec):
+    """Two-qubit PTM: each mode in turn, tensored in, evolved by the frame
+    oracle, traced out."""
     paulis = [I2, SX, SY, SZ]
     P = np.array([np.kron(p, q) for p in paulis for q in paulis])
     nf = spec.n_fock
@@ -280,7 +314,7 @@ def dense_gate_channel(spec, steps):
     spins = P
     for j in range(len(spec.modes)):
         full = np.array([np.kron(s, mode) for s in spins])
-        out = dense_evolve(full, spec, j, steps)
+        out = frame_evolve(full, spec, j)
         spins = np.einsum("bafcf->bac", out.reshape(-1, 4, nf, 4, nf))
     return np.real(np.einsum("iab,jba->ij", P, spins)) / 4.0
 

@@ -250,6 +250,10 @@ BAD_INPUTS = {
                    "theta must be a finite number > 0, got True"),
     "spin_phases_one_entry": ("ptm", {"calibrate": {"n_fock": 3, "spin_phases": [0.5]}},
                               "spin_phases needs one value per ion, got [0.5]"),
+    "spin_phases_bool": ("ptm", {"calibrate": {"n_fock": 3, "spin_phases": [True, 0]}},
+                         "spin_phases must be a number, got True"),
+    "spin_phases_string": ("ptm", {"calibrate": {"n_fock": 3, "spin_phases": ["a", 0]}},
+                           "spin_phases must be a number, got 'a'"),
     "compile_without_pass": ("compile {src} {out}", "qubits 2\n",
                              "hinv compile: the following arguments are required: --pass"),
     "unknown_subcommand": ("frobnicate {src}", "", "invalid choice: 'frobnicate'"),
@@ -280,12 +284,19 @@ BAD_INPUTS = {
                           "eta needs one value per ion, got 3"),
     "rk4_steps_over_limit": ("ptm",
                              {**FULL_SPEC, "segments": [{"duration": 1.0, "delta": 1e6}]},
-                             "63661978 RK4 steps per mode round exceed the limit 100000"),
-    "sk1_steps_over_limit": ("sweep",
-                             {"experiment": "sk1_viability", "steps_per_period": 10**6},
-                             "1000000 RK4 steps per mode round exceed the limit 100000"),
-    "steps_per_period_huge": ("ptm {src} {out} --steps-per-period 1000000", SMALL_SPEC,
-                              "1000000 RK4 steps per mode round exceed the limit 100000"),
+                             "1.20985e+07 series applications per mode round exceed the limit "
+                             "400000"),
+    "sk1_steps_over_limit": ("sweep", {"experiment": "sk1_viability", "gamma_list": [1e12]},
+                             "bad sk1_viability config: 1.30556e+09 series applications per "
+                             "mode round exceed the limit 400000"),
+    "sk1_steps_per_period_0": ("sweep", {"experiment": "sk1_viability", "steps_per_period": 0},
+                               "bad sk1_viability config: steps_per_period must be >= 1, got 0"),
+    "gamma_heat_1e12": ("ptm", {"calibrate": {"n_fock": 4, "gamma_heat": 1e12}},
+                        "3.05556e+09 series applications per mode round exceed the limit "
+                        "400000"),
+    # 2 / tau_m overflows, and inf * 0 makes the predicted work nan
+    "tau_m_overflow": ("ptm", {"calibrate": {"n_fock": 3, "tau_m": 1e-320}},
+                       "nan series applications per mode round exceed the limit 400000"),
     "key_beside_calibrate": ("ptm", {"calibrate": {"n_fock": 3}, "n_fock": 99,
                                      "gamma_heat": 1e9},
                              "no other keys with calibrate: ['gamma_heat', 'n_fock']"),
@@ -322,6 +333,27 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, cmd, content, f
     assert fragment in err[0]
 
 
+def test_work_over_the_limit_exits_2_within_a_second(tmp_path, capsys):
+    # refused by the predicted series applications, before any evolution
+    for name in ("rk4_steps_over_limit", "sk1_steps_over_limit", "gamma_heat_1e12"):
+        cmd, content, fragment = BAD_INPUTS[name]
+        src = tmp_path / "input.json"
+        src.write_text(json.dumps(content))
+        start = time.monotonic()
+        assert run(ARGV[cmd].format(src=src, out=tmp_path / "out").split()) == 2
+        assert time.monotonic() - start < 1.0
+        assert fragment in capsys.readouterr().err
+
+
+def test_steps_per_period_has_no_effect(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(SMALL_SPEC))
+    outs = [tmp_path / "default.csv", tmp_path / "huge.csv"]
+    assert run(["ptm", str(spec), str(outs[0])]) == 0
+    assert run(["ptm", str(spec), str(outs[1]), "--steps-per-period", "1000000"]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
 @pytest.mark.parametrize("argv", [["--help"], ["ptm", "--help"]])
 def test_help_exits_0(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -356,11 +388,6 @@ def _trace_drift(monkeypatch):
     return ["ptm", {"calibrate": {"n_fock": 3}}]
 
 
-def _diverging_rk4(monkeypatch):
-    # heating this fast makes RK4 diverge to NaN at the default step count
-    return ["ptm", {"calibrate": {"n_fock": 4, "gamma_heat": 1e12}}]
-
-
 def _out_of_memory(monkeypatch):
     # what numpy raises for an allocation such as {"calibrate": {"n_fock": 3000}};
     # raised here, since a real request that large can succeed on a large host
@@ -374,7 +401,6 @@ def _out_of_memory(monkeypatch):
     (_out_of_range_point, "out of [0, 1]"),
     (_non_cptp_channel, "is not CPTP"),
     (_trace_drift, "trace drift"),
-    (_diverging_rk4, "trace drift nan"),
     (_out_of_memory, "Unable to allocate"),
 ])
 def test_numeric_failure_exits_3(tmp_path, capsys, monkeypatch, setup, fragment):
@@ -397,8 +423,6 @@ SWEEP_CONFIGS = sorted(p for p in CONFIGS.glob("*.json")
 def test_shipped_sweep_config_builds(path):
     cfg = cli.effective_config(json.loads(path.read_text()))
     sk1 = cfg["experiment"] == "sk1_viability"
-    if sk1:
-        cfg["steps_per_period"] = 1  # one step per period: 50 RK4 steps per pulse
     header, rows = cli.build_sweep(cfg)
     row = next(rows)
     assert len(row) == len(header)
@@ -456,7 +480,7 @@ def test_shipped_ptm_spec_reproduces_recorded_csv(tmp_path):
     out = tmp_path / "ptm.csv"
     assert run(["ptm", str(CONFIGS / "ms_gate_lindblad.json"), str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "57284254e57b481933313d2a07e717168639d44bc8b62b607ece1ce3f1c809eb")
+        "24defea225819b022c4f3cabd63cba0b1dbf460a1e3bbc378f9cb21efc02eb2f")
 
 
 def test_importing_the_cli_loads_no_process_pool():

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,16 +8,12 @@ import pytest
 from hinv import channels, gates, lindblad, qmat
 from hinv.lindblad import LindbladSpec, ModeSpec, Segment
 
-from conftest import I2, SX, dense_evolve, dense_gate_channel, evolve, kron_chain
+from conftest import (I2, SX, dense_evolve, dense_gate_channel, evolve, frame_evolve,
+                      kron_chain)
 
 
 DELTA = 2 * np.pi * 20e3
-
-
-def test_hamiltonian_outside_schedule():
-    spec = lindblad.xx_gate_spec(delta=DELTA, n_fock=5)
-    with pytest.raises(ValueError):
-        lindblad._tone_phases(spec, 0, [spec.total_time * 1.5])
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def test_calibrated_gate_is_xx_quarter():
@@ -39,9 +37,9 @@ def test_spin_phase_convention():
 def test_minus_loop_is_the_plus_loop_in_a_z_rotated_frame(noise):
     kw = dict(delta=DELTA, n_fock=4, amp_scale=1.01, **noise)
     phi1 = gates.sk1_phase(np.pi / 2)
-    plus = lindblad.ms_gate_channel(lindblad.sk1_pulse_specs(np.pi / 4, **kw)[1], 20)
+    plus = lindblad.ms_gate_channel(lindblad.sk1_pulse_specs(np.pi / 4, **kw)[1])
     minus = lindblad.ms_gate_channel(
-        lindblad.xx_gate_spec(np.pi, loops=4, spin_phases=(-phi1, 0.0), **kw), 20)
+        lindblad.xx_gate_spec(np.pi, loops=4, spin_phases=(-phi1, 0.0), **kw))
     assert np.abs(lindblad.sk1_minus_loop(plus).mat - minus.mat).max() <= 1e-12
     # the frame rotation is by -2 phi1: the opposite sign gives another channel
     V = channels.ptm_of_unitary(kron_chain(gates.virtual_z_unitary(2 * phi1), I2)).mat
@@ -116,14 +114,14 @@ def test_motional_dephasing_damps_parity():
     base = lindblad.xx_gate_spec(delta=DELTA)
     noisy = lindblad.xx_gate_spec(delta=DELTA, tau_m=2e-3)
     ideal = channels.ptm_of_unitary(gates.xx_unitary(np.pi / 4))
-    f0 = channels.avg_fidelity_from_ptm(lindblad.ms_gate_channel(base, 150), ideal)
-    f1 = channels.avg_fidelity_from_ptm(lindblad.ms_gate_channel(noisy, 150), ideal)
+    f0 = channels.avg_fidelity_from_ptm(lindblad.ms_gate_channel(base), ideal)
+    f1 = channels.avg_fidelity_from_ptm(lindblad.ms_gate_channel(noisy), ideal)
     assert f1 < f0 - 1e-4
 
 
 def test_ptm_trace_preservation_and_cptp():
     spec = lindblad.xx_gate_spec(delta=DELTA, gamma_heat=500.0, tau_l=5e-3)
-    R = lindblad.ms_gate_channel(spec, 200)
+    R = lindblad.ms_gate_channel(spec)
     e1 = np.zeros(16)
     e1[0] = 1.0
     assert np.abs(R.mat[0] - e1).max() < 1e-8
@@ -147,7 +145,7 @@ def test_multimode_sequential_evolution():
                         modes=(base.modes[0], ModeSpec(eta=(0.002, 0.002),
                                                        offset=2 * np.pi * 300e3)),
                         segments=base.segments, n_fock=7)
-    R = lindblad.ms_gate_channel(spec, 150)
+    R = lindblad.ms_gate_channel(spec)
     ideal = channels.ptm_of_unitary(gates.xx_unitary(np.pi / 4))
     assert channels.avg_fidelity_from_ptm(R, ideal) > 1 - 1e-4
 
@@ -208,9 +206,9 @@ def _two_mode_spec(**kw):
                         stark=(2 * np.pi * 1e3, -2 * np.pi * 2e3), **kw)
 
 
-# Small specs (n_fock 3-5, <= 60 RK4 steps per mode) covering every term of
-# the structured right-hand side.  Heating at n_fock = 3 populates the top
-# Fock level, where the truncated a a^dag differs from n + 1.
+# Small specs (n_fock 3-5) covering every term of the structured operator.
+# Heating at n_fock = 3 populates the top Fock level, where the truncated
+# a a^dag differs from n + 1.
 ORACLE_CASES = {
     "closed": lindblad.xx_gate_spec(delta=DELTA, n_fock=4),
     "heating": lindblad.xx_gate_spec(delta=DELTA, n_fock=3, gamma_heat=3000.0),
@@ -227,11 +225,7 @@ ORACLE_CASES = {
 
 @pytest.mark.parametrize("spec", ORACLE_CASES.values(), ids=ORACLE_CASES)
 def test_structured_rhs_matches_dense_oracle(spec):
-    spp = 20
-    steps = lindblad._n_steps(spec, spp)
-    assert steps <= 60
-    want = dense_gate_channel(spec, steps)
-    assert np.abs(lindblad.ms_gate_channel(spec, spp).mat - want).max() < 1e-12
+    assert np.abs(lindblad.ms_gate_channel(spec).mat - dense_gate_channel(spec)).max() < 1e-12
     # the Hermitian parts of |00><11| (x) |0><0| and of a generic complex
     # matrix evolve as the dense oracle does
     nf = spec.n_fock
@@ -241,22 +235,66 @@ def test_structured_rhs_matches_dense_oracle(spec):
     generic = rng.standard_normal(corner.shape) + 1j * rng.standard_normal(corner.shape)
     for M in (corner, generic / np.abs(np.trace(generic))):
         rho0 = (M + M.conj().T) / 2
-        out = evolve(rho0, spec, spp)
-        assert np.abs(out - dense_evolve(rho0, spec, 0, steps)).max() < 1e-12
+        assert np.abs(evolve(rho0, spec) - frame_evolve(rho0, spec, 0)).max() < 1e-12
 
 
 @pytest.mark.parametrize("spec", ORACLE_CASES.values(), ids=ORACLE_CASES)
 def test_each_parity_part_matches_dense_oracle(spec):
     # XX (x) thermal is purely Pi-even, XI (x) thermal purely odd, and zero has no part
-    spp = 20
-    steps = lindblad._n_steps(spec, spp)
     nf = spec.n_fock
     thermal = np.diag(0.4 ** np.arange(nf) * 0.6)
     zero = np.zeros((4 * nf, 4 * nf))
     for rho0 in (kron_chain(SX, SX, thermal), kron_chain(SX, I2, thermal), zero):
-        out = evolve(rho0, spec, spp)
-        assert np.abs(out - dense_evolve(rho0, spec, 0, steps)).max() < 1e-12
-    assert not evolve(zero, spec, spp).any()
+        assert np.abs(evolve(rho0, spec) - frame_evolve(rho0, spec, 0)).max() < 1e-12
+    assert not evolve(zero, spec).any()
+
+
+def _random_spec(rng):
+    """Two FM segments, two modes with offsets, Stark shifts, all three channels, nbar > 0."""
+    delta = 2 * np.pi * rng.uniform(15e3, 40e3)
+    two = lambda lo, hi: tuple(rng.uniform(lo, hi, 2))
+    return LindbladSpec(omega_r=two(2e5, 4e5), omega_b=two(2e5, 4e5),
+                        phi_r=two(-np.pi, np.pi), phi_b=two(-np.pi, np.pi),
+                        modes=tuple(ModeSpec(eta=two(0.03, 0.12),
+                                             offset=2 * np.pi * rng.uniform(-30e3, 30e3))
+                                    for _ in range(2)),
+                        segments=tuple(Segment(2 * np.pi / d * rng.uniform(0.5, 1.5), d)
+                                       for d in (delta, delta * rng.uniform(0.6, 1.4))),
+                        stark=two(-2 * np.pi * 3e3, 2 * np.pi * 3e3),
+                        tau_m=rng.uniform(5e-4, 5e-3), gamma_heat=rng.uniform(100.0, 3000.0),
+                        tau_l=rng.uniform(5e-4, 5e-3), n_fock=int(rng.integers(3, 6)),
+                        mode_nbar=rng.uniform(0.05, 0.3))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_random_two_segment_two_mode_specs_match_dense_oracle(seed):
+    spec = _random_spec(np.random.default_rng([2011, seed]))
+    assert np.abs(lindblad.ms_gate_channel(spec).mat - dense_gate_channel(spec)).max() < 1e-12
+
+
+def test_frame_oracle_matches_lab_frame_rk4():
+    # the oracle's frame algebra against RK4 on H(t) with its tone phases: a
+    # mode offset, Stark shifts and two segments, with steps that meet the segment
+    # boundary, so the error falls 16x per halving
+    spec = dataclasses.replace(ORACLE_CASES["two_modes_stark"], n_fock=3, tau_m=1e-3,
+                               segments=ORACLE_CASES["fm_two_segments"].segments)
+    rng = np.random.default_rng(3)
+    M = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
+    rho0 = (M + M.conj().T)[None] / 2
+    exact = frame_evolve(rho0, spec, 1)
+    coarse, fine = (np.abs(dense_evolve(rho0, spec, 1, n) - exact).max() for n in (180, 360))
+    assert fine < 1e-7 and 14 < coarse / fine < 18
+
+
+def test_work_beyond_the_limit_is_refused():
+    for kw in (dict(gamma_heat=1e12), dict(delta=1e6, loops=200_000)):
+        spec = lindblad.xx_gate_spec(n_fock=4, **kw)
+        with pytest.raises(ValueError, match="series applications per mode round exceed "
+                                             "the limit 400000"):
+            lindblad.check_work(spec)
+        with pytest.raises(ValueError, match="exceed the limit"):
+            evolve(np.eye(16), spec)
+    lindblad.check_work(lindblad.load_spec(CONFIGS / "ms_gate_lindblad.json"))
 
 
 def test_drive_that_breaks_parity_is_refused(monkeypatch):
@@ -270,7 +308,7 @@ def test_drive_that_breaks_parity_is_refused(monkeypatch):
 
     monkeypatch.setattr(lindblad, "_drive_ops", with_carrier)
     with pytest.raises(ValueError, match="Pi = Z1 Z2"):
-        lindblad.ms_gate_channel(spec, 20)
+        lindblad.ms_gate_channel(spec)
 
 
 def test_step_count_is_bounded():
