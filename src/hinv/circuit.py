@@ -214,12 +214,9 @@ def _checked_channels(c: Circuit, channel_map) -> dict:
 
 def to_text(c: Circuit) -> str:
     lines = [f"qubits {c.n}"]
-    for g in c.gates:
-        if g.kind == "cnot":
-            lines.append(f"cnot {g.qubits[0]} {g.qubits[1]} {g.orientation}")
-        else:
-            parts = [g.kind] + [str(q) for q in g.qubits] + [repr(p) for p in g.params]
-            lines.append(" ".join(parts))
+    for g in c.gates:  # only a cnot carries an orientation
+        parts = [g.kind, *map(str, g.qubits), *map(repr, g.params)]
+        lines.append(" ".join(parts + [g.orientation] * (g.kind == "cnot")))
     return "\n".join(lines) + "\n"
 
 

@@ -50,7 +50,11 @@ INVERSE = "inverse"
 
 _PAULI_KINDS = {"pauli_x": X, "pauli_y": Y, "pauli_z": Z}
 
-TWO_QUBIT_KINDS = ("xx", "cnot")
+# gate kind -> (qubit count, parameter count)
+_SHAPES = {"rot1q": (1, 2), "virtual_z": (1, 1), "xx": (2, 3), "hadamard": (1, 0),
+           "cnot": (2, 0), **{k: (1, 0) for k in _PAULI_KINDS}}
+
+TWO_QUBIT_KINDS = tuple(k for k, (nq, _) in _SHAPES.items() if nq == 2)
 
 SK1_MAX_SPIN_ANGLE = 4 * math.pi
 
@@ -82,10 +86,16 @@ class Gate:
     orientation: str = STANDARD
 
     def __post_init__(self):
+        shape = _SHAPES.get(self.kind)
+        if shape is None:
+            raise ValueError(f"unknown gate kind {self.kind!r}")
+        if (len(self.qubits), len(self.params)) != shape:
+            raise ValueError(f"{self.kind} takes {shape[0]} qubit(s) and {shape[1]} "
+                             f"angle(s), got {len(self.qubits)} and {len(self.params)}")
         if len(set(self.qubits)) != len(self.qubits):
             raise ValueError(f"duplicate qubit indices in {self.qubits}")
-        if self.kind == "cnot" and self.orientation not in (STANDARD, INVERSE):
-            raise ValueError(f"bad orientation {self.orientation!r}")
+        if self.orientation not in ((STANDARD, INVERSE) if self.kind == "cnot" else (STANDARD,)):
+            raise ValueError(f"bad orientation {self.orientation!r} for {self.kind}")
         if not all(math.isfinite(p) for p in self.params):
             raise ValueError("angle must be finite")
 
@@ -237,9 +247,7 @@ def _realized(g: Gate, nm: NoiseModel) -> np.ndarray:
         return qmat.herm_exp(G, 1.0)
     if k == "hadamard":
         return product(hadamard_sequence(), 1, nm)
-    if k == "cnot":
-        return product(cnot_sequence(g.orientation), 2, nm)
-    raise ValueError(f"unknown gate kind {k!r}")
+    return product(cnot_sequence(g.orientation), 2, nm)   # Gate admits no other kind
 
 
 def product(seq, n: int, nm: NoiseModel) -> np.ndarray:

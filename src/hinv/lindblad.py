@@ -32,9 +32,9 @@ sum_n s_n |1><1|_n`` and no dissipator changes, so the generator is
 constant within a segment.  Each segment is one truncated-Taylor action
 (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)), its degree and
 sub-step count set by a bound on the operator 1-norm; an elementwise
-``W(T)`` phase then returns to the lab frame.  A round predicted to take
-more than ``MAX_SERIES_WORK`` operator applications is refused before any
-work.  The generator and each collapse operator respect the parity
+``W(T)`` phase then returns to the lab frame.  A spec predicted to take
+more than ``MAX_SERIES_WORK`` operator applications a round is refused
+when built.  The generator and each collapse operator respect the parity
 ``Pi = Z_1 Z_2 (-1)^{a^dag a}``, so a matrix is an even part (sector blocks
 ee, oo) plus an odd part (eo, oe), and only nonzero parts are evolved.  An
 operator application is ``X + X^dag + D(rho)``, with ``X = rho_k G_k`` one
@@ -82,7 +82,8 @@ def _numbers(spec, *names, per_ion=False) -> None:
     ``per_ion`` one number per ion, stored as a tuple of two.  A bool is not a
     number here: JSON ``true`` would pass as 1."""
     for name in names:
-        values = tuple(getattr(spec, name)) if per_ion else (getattr(spec, name),)
+        value = getattr(spec, name)
+        values = tuple(value) if per_ion and isinstance(value, (list, tuple)) else (value,)
         if per_ion and len(values) != 2:
             raise ValueError(f"{name} needs one value per ion, got {len(values)}")
         for x in values:
@@ -134,6 +135,8 @@ class LindbladSpec:
         if not (self.gamma_heat >= 0 and self.mode_nbar >= 0
                 and self.tau_m > 0 and self.tau_l > 0):
             raise ValueError("gamma_heat and mode_nbar must be >= 0, coherence times positive")
+        for j in range(len(self.modes)):  # refuse a round over MAX_SERIES_WORK now
+            _frame_generator(self, j)
 
     @property
     def total_time(self) -> float:
@@ -292,12 +295,6 @@ def _frame_generator(spec: LindbladSpec, mode_index: int):
     return order, weights, heat, segments, w
 
 
-def check_work(spec: LindbladSpec) -> None:
-    """Refuse ``spec`` before any work if a mode round exceeds ``MAX_SERIES_WORK``."""
-    for j in range(len(spec.modes)):
-        _frame_generator(spec, j)
-
-
 def _evolve_batch(rhos: np.ndarray, spec: LindbladSpec, mode_index: int) -> np.ndarray:
     """Exact evolution of a stack of Hermitian matrices over the schedule: the
     nonzero parity parts take one truncated Taylor series per sub-step, each
@@ -391,10 +388,15 @@ def spec_from_dict(d: dict) -> LindbladSpec:
     if "calibrate" in d:
         if len(d) > 1:
             raise ValueError(f"no other keys with calibrate: {sorted(set(d) - {'calibrate'})}")
+        if not isinstance(d["calibrate"], dict):
+            raise ValueError(f"calibrate must be an object, got {d['calibrate']!r}")
         return xx_gate_spec(**d["calibrate"])
     kw = dict(d)
-    kw["modes"] = tuple(ModeSpec(**m) for m in kw["modes"])
-    kw["segments"] = tuple(Segment(**s) for s in kw["segments"])
+    for key, part in (("modes", ModeSpec), ("segments", Segment)):
+        items = kw.get(key)
+        if not (isinstance(items, (list, tuple)) and all(isinstance(x, dict) for x in items)):
+            raise ValueError(f"{key} must be a list of objects, got {items!r}")
+        kw[key] = tuple(part(**x) for x in items)
     for key in ("tau_m", "tau_l"):
         if kw.get(key) in (None, "inf"):
             kw.pop(key, None)

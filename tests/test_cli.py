@@ -289,8 +289,11 @@ BAD_INPUTS = {
     "sk1_steps_over_limit": ("sweep", {"experiment": "sk1_viability", "gamma_list": [1e12]},
                              "bad sk1_viability config: 1.30556e+09 series applications per "
                              "mode round exceed the limit 400000"),
-    "sk1_steps_per_period_0": ("sweep", {"experiment": "sk1_viability", "steps_per_period": 0},
-                               "bad sk1_viability config: steps_per_period must be >= 1, got 0"),
+    # steps_per_period left the sk1_viability schema: the propagation is exact
+    "sk1_steps_per_period_key": ("sweep", {"experiment": "sk1_viability", "steps_per_period": 150},
+                                 "unknown key(s) ['steps_per_period']"),
+    "sk1_gamma_negative": ("sweep", {"experiment": "sk1_viability", "gamma_list": [-1.0]},
+                           "bad sk1_viability config: gamma_heat and mode_nbar must be >= 0"),
     "gamma_heat_1e12": ("ptm", {"calibrate": {"n_fock": 4, "gamma_heat": 1e12}},
                         "3.05556e+09 series applications per mode round exceed the limit "
                         "400000"),
@@ -318,6 +321,15 @@ BAD_INPUTS = {
                      "tau_m must be a number, got '5'"),
     "eta_entry_string": ("ptm", {**FULL_SPEC, "modes": [{"eta": [0.1, "x"]}]},
                          "eta must be a number, got 'x'"),
+    "omega_r_scalar": ("ptm", {**FULL_SPEC, "omega_r": 5},
+                       "omega_r needs one value per ion, got 1"),
+    "stark_scalar": ("ptm", {**FULL_SPEC, "stark": 0}, "stark needs one value per ion, got 1"),
+    "modes_scalar": ("ptm", {**FULL_SPEC, "modes": 5}, "modes must be a list of objects, got 5"),
+    "modes_of_numbers": ("ptm", {**FULL_SPEC, "modes": [5]},
+                         "modes must be a list of objects, got [5]"),
+    "segments_object": ("ptm", {**FULL_SPEC, "segments": {"duration": 1e-4, "delta": 1e5}},
+                        "segments must be a list of objects, got {"),
+    "calibrate_list": ("ptm", {"calibrate": [1, 2]}, "calibrate must be an object, got [1, 2]"),
 }
 
 
@@ -455,6 +467,31 @@ def test_names_the_benchmark_reaches_exist(monkeypatch):
         for fn in fns:
             assert hasattr(importlib.import_module(f"hinv.{mod}"), fn), f"hinv.{mod}.{fn}"
     assert callable(lindblad.spec_to_dict) and lindblad.DEFAULT_STEPS_PER_PERIOD >= 1
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+def test_the_benchmark_inputs_pass_the_config_stage(tmp_path, monkeypatch, seed):
+    # a change that stops accepting a benchmark input would otherwise show only
+    # as failed items in a benchmark run
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    monkeypatch.setattr(lindblad, "ms_gate_channel", lambda spec: channels.PTM(2, np.eye(16)))
+    checked = 0
+    for name in workloads.WORKLOADS:
+        inputs = tmp_path / name
+        workloads.generate(name, seed, str(inputs))
+        for path in sorted(inputs.iterdir()):
+            if path.suffix == ".circ":
+                circuit.read_file(path)
+            elif path.name == "manifest.json":
+                continue
+            elif "experiment" in json.loads(path.read_text()):
+                cli.build_sweep(cli.effective_config(json.loads(path.read_text())))
+            else:
+                out = tmp_path / f"{path.stem}.csv"
+                assert run(["ptm", str(path), str(out), "--steps-per-period", "150"]) == 0
+            checked += 1
+    assert checked == 11   # 4 sweep configs, 4 pulse specs, 3 circuit files
 
 
 # sha256 of each fast shipped sweep's CSV, as recorded in CHANGES.md

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -228,6 +229,20 @@ def test_wrap_two_pi_rejects_non_finite_angles(theta):
 def test_gate_rejects_non_finite_parameters(make, args):
     with pytest.raises(ValueError, match="angle must be finite"):
         make(*args)
+
+
+@pytest.mark.parametrize("args, message", [
+    (("foo", (0,)), "unknown gate kind 'foo'"),
+    (("cnot", (0,)), "cnot takes 2 qubit(s) and 0 angle(s), got 1 and 0"),
+    (("xx", (0, 1), (0.5,)), "xx takes 2 qubit(s) and 3 angle(s), got 2 and 1"),
+    (("rot1q", (0,), (1.0,)), "rot1q takes 1 qubit(s) and 2 angle(s), got 1 and 1"),
+    (("rot1q", (0,), (1.0, 0.0), INVERSE), "bad orientation 'inverse' for rot1q"),
+], ids=["unknown_kind", "cnot_one_qubit", "xx_one_angle", "rot1q_one_angle",
+        "rot1q_inverse"])
+def test_gate_rejects_what_it_cannot_realize_or_print(args, message):
+    # each was accepted once, then failed in to_text, from_text or realize
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Gate(*args)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)

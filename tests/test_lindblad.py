@@ -287,14 +287,12 @@ def test_frame_oracle_matches_lab_frame_rk4():
 
 
 def test_work_beyond_the_limit_is_refused():
+    # the spec refuses itself when it is built, before any evolution
     for kw in (dict(gamma_heat=1e12), dict(delta=1e6, loops=200_000)):
-        spec = lindblad.xx_gate_spec(n_fock=4, **kw)
         with pytest.raises(ValueError, match="series applications per mode round exceed "
                                              "the limit 400000"):
-            lindblad.check_work(spec)
-        with pytest.raises(ValueError, match="exceed the limit"):
-            evolve(np.eye(16), spec)
-    lindblad.check_work(lindblad.load_spec(CONFIGS / "ms_gate_lindblad.json"))
+            lindblad.xx_gate_spec(n_fock=4, **kw)
+    lindblad.load_spec(CONFIGS / "ms_gate_lindblad.json")
 
 
 def test_drive_that_breaks_parity_is_refused(monkeypatch):
