@@ -3,9 +3,11 @@
     python3 scripts/bench_configs.py -o BENCH.json [--baseline DIR] [--pairs N]
 
 Run from the repository root. Each checkout (this one, and ``--baseline``
-if given) runs every file in its ``configs/`` once, in a fresh process with
-one BLAS thread: ``hinv sweep`` for an experiment config, ``hinv ptm`` for
-a pulse spec. Each run records ``{wall_s, rc, csv_sha256}``. With
+if given) runs every file of this checkout's ``configs/`` that it has once,
+in a fresh process with one BLAS thread: ``hinv sweep`` for an experiment
+config, ``hinv ptm`` for a pulse spec. The checkouts take turns per config,
+the first alternating from one config to the next. Each run records
+``{wall_s, rc, csv_sha256}``. With
 ``--pairs N``, every workload of ``perfbench/run.py`` also runs N times per
 checkout for ``BENCHMARK.json``'s ``run_seconds``, in pairs whose first run
 alternates between baseline and change, and its end-to-end medians are
@@ -48,27 +50,40 @@ def host() -> dict:
             "blas_threads": blas_threads()}
 
 
-def run_configs(root: str) -> dict:
-    """``{config file: {wall_s, rc, csv_sha256}}`` for every shipped config of ``root``."""
+def run_config(root: str, name: str, csv: str) -> dict:
+    """``{wall_s, rc, csv_sha256}`` of one run of ``root``'s config ``name``, writing ``csv``."""
+    path = os.path.join(root, "configs", name)
+    with open(path) as fh:
+        sweep = "experiment" in json.load(fh)
+    argv = ["sweep", path, "-o", csv] if sweep else ["ptm", path, csv]
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
-    out = {}
+    t0 = time.perf_counter()
+    rc = subprocess.run([sys.executable, "-m", "hinv.cli"] + argv, env=env,
+                        capture_output=True).returncode
+    wall = time.perf_counter() - t0
+    digest = None
+    if rc == 0:
+        with open(csv, "rb") as fh:
+            digest = hashlib.sha256(fh.read()).hexdigest()
+    print(f"{root}: {name} rc={rc} {wall:.2f} s", file=sys.stderr)
+    return {"wall_s": round(wall, 3), "rc": rc, "csv_sha256": digest}
+
+
+def run_configs(roots: dict) -> dict:
+    """``{label: {config file: {wall_s, rc, csv_sha256}}}`` over this checkout's configs.
+
+    Each config runs on every checkout that has it before the next config starts,
+    and the first checkout alternates from one config to the next, so a drift in
+    machine load falls on both sides alike.
+    """
+    out = {label: {} for label in roots}
     with tempfile.TemporaryDirectory() as tmp:
-        for name in sorted(os.listdir(os.path.join(root, "configs"))):
-            path = os.path.join(root, "configs", name)
-            with open(path) as fh:
-                sweep = "experiment" in json.load(fh)
-            csv = os.path.join(tmp, name + ".csv")
-            argv = ["sweep", path, "-o", csv] if sweep else ["ptm", path, csv]
-            t0 = time.perf_counter()
-            rc = subprocess.run([sys.executable, "-m", "hinv.cli"] + argv, env=env,
-                                capture_output=True).returncode
-            wall = time.perf_counter() - t0
-            digest = None
-            if rc == 0:
-                with open(csv, "rb") as fh:
-                    digest = hashlib.sha256(fh.read()).hexdigest()
-            out[name] = {"wall_s": round(wall, 3), "rc": rc, "csv_sha256": digest}
-            print(f"{root}: {name} rc={rc} {wall:.2f} s", file=sys.stderr)
+        for i, name in enumerate(sorted(os.listdir(os.path.join(ROOT, "configs")))):
+            order = list(roots.items())
+            for label, root in order[::-1] if i % 2 else order:
+                if os.path.exists(os.path.join(root, "configs", name)):
+                    out[label][name] = run_config(root, name,
+                                                  os.path.join(tmp, f"{label}-{name}.csv"))
     return out
 
 
@@ -111,7 +126,7 @@ def main() -> int:
         roots = {"baseline": os.path.abspath(args.baseline), **roots}
     report = {"host": host(),
               "source_sha256": {label: source_sha256(root) for label, root in roots.items()},
-              "configs": {label: run_configs(root) for label, root in roots.items()}}
+              "configs": run_configs(roots)}
     if args.pairs:
         with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
             seconds = json.load(fh)["run_seconds"]

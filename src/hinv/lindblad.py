@@ -29,18 +29,22 @@ a^dag a + sum_n s_n t |1><1|_n])`` (``acc`` the accumulated segment
 detuning, ``o`` the mode offset, ``s_n`` ion n's Stark offset) every drive
 term keeps its t = 0 coefficient, H gains ``-(delta_seg - o) a^dag a -
 sum_n s_n |1><1|_n`` and no dissipator changes, so the generator is
-constant within a segment.  Each segment is one truncated-Taylor action
-(Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)), its degree and
-sub-step count set by a bound on the operator 1-norm; an elementwise
-``W(T)`` phase then returns to the lab frame.  A spec predicted to take
-more than ``MAX_SERIES_WORK`` operator applications a round is refused
-when built.  The generator and each collapse operator respect the parity
+constant within a segment.  Each segment is one Chebyshev action of the
+Jacobi-Anger series ``e^A = J_0(R) + 2 sum_k J_k(R) i^k T_k(A / iR)`` (Tal-Ezer
+& Kosloff, J. Chem. Phys. 81, 3967 (1984)), its degree a rigorous a-priori
+bound from the spectral width of H and a bound on the dissipator (see
+:func:`_frame_generator`); a strongly damped or very long segment is split
+into equal actions.  An elementwise ``W(T)`` phase then returns to the lab
+frame.  A spec predicted to take more than ``MAX_SERIES_WORK`` operator
+applications a round is refused when built.  The generator and each
+collapse operator respect the parity
 ``Pi = Z_1 Z_2 (-1)^{a^dag a}``, so a matrix is an even part (sector blocks
 ee, oo) plus an odd part (eo, oe), and only nonzero parts are evolved.  An
 operator application is ``X + X^dag + D(rho)``, with ``X = rho_k G_k`` one
 GEMM per column sector k of ``G = iH + S``, ``S = -(1/2) sum L^dag L``, and
 ``D(rho) = sum L rho L^dag`` elementwise.  ``X^dag`` stands in for ``G^dag
-rho`` only for Hermitian rho, which :func:`ms_gate_channel` always passes.
+rho`` only for Hermitian rho, which :func:`ms_gate_channel` always passes;
+the series recurrence has real coefficients, so every term stays Hermitian.
 """
 
 from __future__ import annotations
@@ -55,15 +59,10 @@ from . import gates, qmat
 from .channels import PTM, ptm_of_unitary
 
 DEFAULT_N_FOCK = 13
-MAX_SERIES_WORK = 400_000    # operator applications per mode round
+MAX_SERIES_WORK = 60_000     # Chebyshev operator applications per mode round
 # the retired RK4 step rule: only perfbench/ reaches these two and _n_steps
 DEFAULT_STEPS_PER_PERIOD = 400
 MAX_STEPS = 100_000
-
-# Al-Mohy & Higham (2011), Table 3.1, double precision: Taylor degree m -> the
-# largest ||A t||_1 whose degree-m series is accurate to unit roundoff
-_THETA = {5: 2.4e-3, 10: 1.4e-1, 15: 6.4e-1, 20: 1.4, 25: 2.4, 30: 3.5, 35: 4.7,
-          40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9}
 
 
 @dataclass(frozen=True)
@@ -241,6 +240,49 @@ def _n_steps(spec: LindbladSpec, steps_per_period: int) -> int:
     return steps
 
 
+def _bessel(x: float, n: int) -> np.ndarray:
+    """``J_0(x), ..., J_n(x)`` for x > 0: Miller's backward recurrence from well
+    past both n and the turning point x, normalised by ``J_0 + 2 sum J_2k = 1``."""
+    m = max(n, math.ceil(x + 14 * x ** (1 / 3))) + 20
+    j = np.zeros(m + 2)
+    j[m] = 1.0
+    for k in range(m, 0, -1):
+        j[k - 1] = 2 * k / x * j[k] - j[k + 1]
+        if abs(j[k - 1]) > 1e250:   # the recurrence grows fast below the start
+            j[k - 1:] *= 1e-250
+    return j[:n + 1] / (j[0] + 2 * math.fsum(j[2::2]))
+
+
+_LOG_TAIL = math.log(2.0 ** -60 / (2 + 2 * math.sqrt(2)))
+# a segment is split into equal actions, none with nu t over _STEP_DAMPING or R
+# over _STEP_R: the terms of a damped part grow, up to about e^(nu t) and near the
+# ends of the spectrum e^sqrt(nu t R), before they cancel.  Unsplit, an SK1 loop
+# at nu t = 45 was 1.5e-13 off the dense oracle, and an amp_scale 3000 pulse at
+# R = 54,000 drifted the trace by 2.3e-7
+_STEP_DAMPING, _STEP_R = 16.0, 4000.0
+
+
+def _degree(R: float, nu_t: float) -> int:
+    """Chebyshev degree of an action of length t, ``R = (Delta + nu) t`` and ``nu_t =
+    nu t``: the terms past it sum to at most 2^-60 of the input (see
+    :func:`_frame_generator`).  Degree 0 is the identity."""
+    if R == 0:
+        return 0
+    beta = nu_t / R
+    corner = complex(1 - beta, beta)
+    rho = abs(corner + np.sqrt(corner - 1) * np.sqrt(corner + 1))
+    k = math.floor(R) + 1
+    while True:
+        # term k is at most 2 (1 + sqrt 2) (q e^s)^k, and each later one at most q times
+        # the one before
+        z = R / k
+        s = math.sqrt((1 - z) * (1 + z))
+        q = rho * z / (1 + s)
+        if q < 1 and k * (math.log(q) + s) - math.log1p(-q) < _LOG_TAIL:
+            return k - 1
+        k += 1
+
+
 @np.errstate(over="ignore", invalid="ignore")  # an overflowing rate fails the work check
 def _frame_generator(spec: LindbladSpec, mode_index: int):
     """What one mode round applies, in sector order: ``(order, weights, heat, segments, w)``.
@@ -248,9 +290,25 @@ def _frame_generator(spec: LindbladSpec, mode_index: int):
     ``weights * rho`` is ``sum L rho L^dag`` over ``a^dag a`` and ``Z_1 + Z_2``;
     ``heat[u] = Gamma sqrt(n_i n_j)`` at flat index u = (i, j) of an h x h block
     weighs ``a^dag rho a`` and ``a rho a^dag``, which shift the other sector's
-    block by 2 rows and columns; either is None when no channel needs it.  Per
-    segment: G as sector blocks (2, h, h), the sub-step length, the Taylor
-    degree m and sub-step count s.  ``w`` is the diagonal of ``W(T)``.
+    block by 2 rows and columns; either is None when no channel needs it.  ``w``
+    is the diagonal of ``W(T)``.  Per segment: ``G = iH + S`` as sector blocks
+    (2, h, h), ``2 / (Delta + nu)``, and the R, Chebyshev degree N and count of
+    its equal actions, so its work is N times that count.
+
+    ``Delta`` is the eigenvalue spread of H over both sectors, so the
+    commutator part of the generator has its numerical range in ``i [-Delta,
+    Delta]``.  The dissipator is self-adjoint, with norm at most ``nu = 2 max|S|
+    + max weight + 2 max heat``.  For an action of length t, A the generator
+    times t and ``R = (Delta + nu) t``, the numerical range of ``A / iR`` lies
+    in the rectangle ``|Re| <= 1 - beta, |Im| <= beta``, ``beta = nu t / R``, so
+    inside the Bernstein ellipse E_rho through its corners, where ``|T_k| <=
+    rho^k``.  Crouzeix & Palencia (SIAM J. Matrix Anal. Appl. 38, 649 (2017))
+    then give ``||T_k(A / iR)|| <= (1 + sqrt 2) rho^k``, and with Kapteyn's
+    inequality ``|J_k(R)| <= (z e^s / (1 + s))^k``, ``z = R / k``, ``s = sqrt(1
+    - z^2)``, the terms past N sum to at most 2^-60 of the input.  A round is
+    refused when its sum of R, a lower bound on the work, exceeds
+    ``MAX_SERIES_WORK`` or is nan, before any degree is sought, and then when
+    its work does.
     """
     nf, h = spec.n_fock, 2 * spec.n_fock
     # basis index (2 s1 + s2) nf + n: sector k = (s1 + s2 + n) % 2, then position 2n + s1
@@ -269,25 +327,31 @@ def _frame_generator(spec: LindbladSpec, mode_index: int):
         # a^dag a + a a^dag, with the truncated a a^dag = diag(1, ..., nf - 1, 0)
         static -= 0.5 * g * (q + np.where(q < nf - 1, q + 1, 0.0))
         heat = g * np.outer(np.sqrt(q[:h]), np.sqrt(q[:h])).ravel()
-    # the operator 1-norm is at most 2 ||G||_inf + max weight + 2 max heat
-    spread = weights.max() + (0.0 if heat is None else 2 * heat.max())
+    nu = 2 * np.abs(static).max() + weights.max() + (0.0 if heat is None else 2 * heat.max())
     weights = weights if weights.any() else None
     ops = _drive_ops(spec, mode_index)[:, order[:, None], order].sum(0)
-    lab = 1j * (ops + ops.conj().T) + np.diag(static)   # iH(0) + S
-    if lab[:h, h:].any() or lab[h:, :h].any():
+    if ops[:h, h:].any() or ops[h:, :h].any():
         raise ValueError("a drive term breaks the parity symmetry Pi = Z1 Z2 (-1)^(a^dag a)")
     offset, T = spec.modes[mode_index].offset, spec.total_time
     segments = []
     for seg in spec.segments:
-        # less its mean: a multiple of the identity in G cancels in rho G + G^dag rho
+        # less its mean: a multiple of the identity in H cancels in the commutator
         frame = (seg.delta - offset) * fock + spec.stark[0] * p1 + spec.stark[1] * p2
-        G = lab - 1j * np.diag((frame - frame.mean())[order])
-        norm = (2 * np.abs(G).sum(1).max() + spread) * seg.duration
-        m, s = min(((m, max(np.ceil(norm / theta), 1.0)) for m, theta in _THETA.items()),
-                   key=lambda ms: ms[0] * ms[1])
-        segments.append((np.stack([G[:h, :h], G[h:, h:]]), seg.duration / s, m, s))
-    work = sum(m * s for *_, m, s in segments)
-    if not work <= MAX_SERIES_WORK:   # nan too
+        H = ops + ops.conj().T - np.diag((frame - frame.mean())[order])
+        G = 1j * H + np.diag(static)
+        spectrum = np.linalg.eigvalsh(np.stack([H[:h, :h], H[h:, h:]]))   # nan if H is not finite
+        segments.append((np.stack([G[:h, :h], G[h:, h:]]), seg.duration,
+                         (spectrum.max() - spectrum.min() + nu) * seg.duration))
+    work = sum(R for *_, R in segments)
+    if work <= MAX_SERIES_WORK:   # not for nan: no degree is sought past the limit
+        split = []
+        for G, t, R in segments:
+            steps = max(1, math.ceil(nu * t / _STEP_DAMPING), math.ceil(R / _STEP_R))
+            split.append((G, 2 * t / R if R else 0.0, R / steps,
+                          _degree(R / steps, nu * t / steps), steps))
+        segments = split
+        work = sum(N * steps for *_, N, steps in segments)
+    if not work <= MAX_SERIES_WORK:
         raise ValueError(f"{work:.6g} series applications per mode round exceed the limit "
                          f"{MAX_SERIES_WORK}")
     turn = sum(seg.delta * seg.duration for seg in spec.segments) - offset * T
@@ -297,8 +361,8 @@ def _frame_generator(spec: LindbladSpec, mode_index: int):
 
 def _evolve_batch(rhos: np.ndarray, spec: LindbladSpec, mode_index: int) -> np.ndarray:
     """Exact evolution of a stack of Hermitian matrices over the schedule: the
-    nonzero parity parts take one truncated Taylor series per sub-step, each
-    stopped once two successive terms fall below unit roundoff."""
+    nonzero parity parts take one Chebyshev action per segment, or per each of
+    its equal pieces."""
     order, weights, heat, segments, w = _frame_generator(spec, mode_index)
     h = 2 * spec.n_fock
     # parts in order (even, then odd); block k of a part is sector block (k ^ odd, k)
@@ -307,13 +371,12 @@ def _evolve_batch(rhos: np.ndarray, spec: LindbladSpec, mode_index: int) -> np.n
                            for o in (0, 1)])
     even = np.count_nonzero(odds == 0)
     cols = np.arange(2)[:, None]
-    if weights is not None:
-        weights = weights.reshape(2, h, 2, h)[cols ^ odds, :, cols]
     if heat is not None:  # flat over a sector's parts, zero where a shift crosses blocks
-        shift, heat, flat = 2 * h + 2, np.tile(heat, len(bs)), np.empty(len(bs) * h * h, complex)
+        shift, flat = 2 * h + 2, np.empty(len(bs) * h * h, complex)
 
-    def apply(G, r, out, X):
-        """``out = r G + G^dag r + D(r)``, X scratch; C order, so reshapes are views."""
+    def apply(r, out, X):
+        """``out = r G + G^dag r + D(r)`` with G and D scaled, X scratch; C order, so
+        reshapes are views."""
         for k in (0, 1):
             np.matmul(r[k].reshape(-1, h), G[k], out=X[k].reshape(-1, h))
         # X^dag, with the blocks swapped for odd parts
@@ -321,30 +384,39 @@ def _evolve_batch(rhos: np.ndarray, spec: LindbladSpec, mode_index: int) -> np.n
         np.conjugate(X[::-1, even:].transpose(0, 1, 3, 2), out=out[:, even:])
         out += X
         if weights is not None:
-            out += np.multiply(weights, r, out=X)
+            out += np.multiply(dw, r, out=X)
         if heat is not None:  # a^dag rho a, a rho a^dag: the other sector, one Fock step off
             for k in (0, 1):
                 o, other = out[k].reshape(-1), r[1 - k].reshape(-1)
-                o[shift:] += np.multiply(heat[shift:], other[:-shift], out=flat[shift:])
-                o[:-shift] += np.multiply(heat, other, out=flat)[shift:]
+                o[shift:] += np.multiply(dh[shift:], other[:-shift], out=flat[shift:])
+                o[:-shift] += np.multiply(dh, other, out=flat)[shift:]
 
+    # e^A r = J_0(R) P_0 + 2 sum_k J_k(R) P_k, P_k = i^k T_k(A / iR) r (Jacobi-Anger), by
+    # P_k+1 = (2 / R) A P_k + P_k-1: real coefficients, so every P_k stays Hermitian;
+    # apply folds 2 / R = 2 / ((Delta + nu) t) into G and the dissipator
     r = x[bs, cols ^ odds, :, cols]
-    b, nxt, X = (np.empty_like(r) for _ in range(3))
-    # the max norm of the real and imaginary parts: cheaper than the modulus
-    norm = lambda a: np.abs(a.view(float)).max(initial=0.0)  # noqa: E731
-    for G, tau, m, s in segments:
-        for _ in range(int(s)):
-            b[...] = r
-            c1 = norm(b)
-            for k in range(1, m + 1):
-                apply(G, b, nxt, X)
-                nxt *= tau / k
-                b, nxt = nxt, b
-                r += b
-                c2 = norm(b)
-                if c1 + c2 <= 2.0 ** -53 * norm(r):
-                    break
-                c1 = c2
+    p, nxt, acc, X = (np.empty_like(r) for _ in range(4))
+    for G, scale, R, N, steps in segments:
+        if N == 0:
+            continue
+        G = scale * G
+        if weights is not None:
+            dw = (scale * weights).reshape(2, h, 2, h)[cols ^ odds, :, cols]
+        if heat is not None:
+            dh = np.tile(scale * heat, len(bs))
+        coef = _bessel(R, N)
+        coef[1:] *= 2
+        for _ in range(steps):
+            np.multiply(r, coef[0], out=acc)
+            apply(r, p, X)
+            p *= 0.5   # P_1 = A r / R: the recurrence with P_-1 = -P_1
+            acc += np.multiply(p, coef[1], out=X)
+            for c in coef[2:]:
+                apply(p, nxt, X)
+                nxt += r
+                r, p, nxt = p, nxt, r
+                acc += np.multiply(p, c, out=X)
+            r, acc = acc, r
     y = np.zeros_like(x)
     y[bs, cols ^ odds, :, cols] = r
     # back to the lab frame: rho -> W(T) rho W(T)^dag, elementwise for diagonal W

@@ -284,22 +284,22 @@ BAD_INPUTS = {
                           "eta needs one value per ion, got 3"),
     "rk4_steps_over_limit": ("ptm",
                              {**FULL_SPEC, "segments": [{"duration": 1.0, "delta": 1e6}]},
-                             "1.20985e+07 series applications per mode round exceed the limit "
-                             "400000"),
+                             "2.0118e+06 series applications per mode round exceed the limit "
+                             "60000"),
     "sk1_steps_over_limit": ("sweep", {"experiment": "sk1_viability", "gamma_list": [1e12]},
-                             "bad sk1_viability config: 1.30556e+09 series applications per "
-                             "mode round exceed the limit 400000"),
+                             "bad sk1_viability config: 2.35e+08 series applications per "
+                             "mode round exceed the limit 60000"),
     # steps_per_period left the sk1_viability schema: the propagation is exact
     "sk1_steps_per_period_key": ("sweep", {"experiment": "sk1_viability", "steps_per_period": 150},
                                  "unknown key(s) ['steps_per_period']"),
     "sk1_gamma_negative": ("sweep", {"experiment": "sk1_viability", "gamma_list": [-1.0]},
                            "bad sk1_viability config: gamma_heat and mode_nbar must be >= 0"),
     "gamma_heat_1e12": ("ptm", {"calibrate": {"n_fock": 4, "gamma_heat": 1e12}},
-                        "3.05556e+09 series applications per mode round exceed the limit "
-                        "400000"),
+                        "5.5e+08 series applications per mode round exceed the limit "
+                        "60000"),
     # 2 / tau_m overflows, and inf * 0 makes the predicted work nan
     "tau_m_overflow": ("ptm", {"calibrate": {"n_fock": 3, "tau_m": 1e-320}},
-                       "nan series applications per mode round exceed the limit 400000"),
+                       "nan series applications per mode round exceed the limit 60000"),
     "key_beside_calibrate": ("ptm", {"calibrate": {"n_fock": 3}, "n_fock": 99,
                                      "gamma_heat": 1e9},
                              "no other keys with calibrate: ['gamma_heat', 'n_fock']"),
@@ -347,7 +347,8 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, cmd, content, f
 
 def test_work_over_the_limit_exits_2_within_a_second(tmp_path, capsys):
     # refused by the predicted series applications, before any evolution
-    for name in ("rk4_steps_over_limit", "sk1_steps_over_limit", "gamma_heat_1e12"):
+    for name in ("rk4_steps_over_limit", "sk1_steps_over_limit", "gamma_heat_1e12",
+                 "tau_m_overflow"):
         cmd, content, fragment = BAD_INPUTS[name]
         src = tmp_path / "input.json"
         src.write_text(json.dumps(content))
@@ -517,7 +518,7 @@ def test_shipped_ptm_spec_reproduces_recorded_csv(tmp_path):
     out = tmp_path / "ptm.csv"
     assert run(["ptm", str(CONFIGS / "ms_gate_lindblad.json"), str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "24defea225819b022c4f3cabd63cba0b1dbf460a1e3bbc378f9cb21efc02eb2f")
+        "b8befccff29897133d8c8cb27ac81873377d36440e0e2705933fe9e3b03ad9f8")
 
 
 def test_importing_the_cli_loads_no_process_pool():

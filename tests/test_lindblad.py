@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import jv
 
 from hinv import channels, gates, lindblad, qmat
 from hinv.lindblad import LindbladSpec, ModeSpec, Segment
@@ -220,6 +221,9 @@ ORACLE_CASES = {
     "two_modes_stark": _two_mode_spec(n_fock=4, tau_l=1e-3, gamma_heat=500.0),
     "thermal_mode": lindblad.xx_gate_spec(delta=DELTA, n_fock=5, mode_nbar=0.3,
                                           gamma_heat=2000.0),
+    # an SK1 loop at nu T = 45, split into three equal actions
+    "split_actions": lindblad.sk1_pulse_specs(np.pi / 4, delta=DELTA, n_fock=4,
+                                              gamma_heat=3000.0, tau_m=2e-4, tau_l=5e-4)[1],
 }
 
 
@@ -286,11 +290,50 @@ def test_frame_oracle_matches_lab_frame_rk4():
     assert fine < 1e-7 and 14 < coarse / fine < 18
 
 
+def test_long_action_matches_dense_oracle():
+    # a 4-loop SK1 pulse driven 6x harder: one Chebyshev action with R = 361, all
+    # three channels on
+    spec = lindblad.sk1_pulse_specs(np.pi / 4, delta=DELTA, n_fock=4, amp_scale=6.0,
+                                    gamma_heat=200.0, tau_m=5e-3, tau_l=1e-2)[1]
+    (_, _, R, N, steps), = lindblad._frame_generator(spec, 0)[3]
+    assert steps == 1 and 350 < R < 370 and N == 484
+    # at the same n_fock, the SK1 loop with strong dissipation is split in three
+    assert lindblad._frame_generator(ORACLE_CASES["split_actions"], 0)[3][0][4] == 3
+    assert np.abs(lindblad.ms_gate_channel(spec).mat - dense_gate_channel(spec)).max() < 1e-12
+
+
+def test_zero_generator_is_the_identity():
+    # no drive, no detuning, no Stark shift, no dissipation: R = 0 and degree 0
+    spec = LindbladSpec(omega_r=(0.0, 0.0), omega_b=(0.0, 0.0), phi_r=(0.0, 0.0),
+                        phi_b=(0.0, 0.0), modes=(ModeSpec(eta=(0.1, 0.1)),),
+                        segments=(Segment(1e-4, 0.0),), n_fock=3)
+    (_, _, R, N, _), = lindblad._frame_generator(spec, 0)[3]
+    assert R == 0 and N == 0
+    assert np.array_equal(lindblad.ms_gate_channel(spec).mat, np.eye(16))
+
+
+# J_k(5000) to 17 digits, from 30-digit mpmath
+BESSEL_5000 = {0: -0.0066489842514483475, 112: 0.0065967292253833396,
+               681: 0.0029688449221498504, 4999: 0.02756272820041481}
+
+
+@pytest.mark.parametrize("R", [1e-3, 0.5, 3.0, 87.5, 400.0, 5000.0])
+def test_bessel_coefficients(R):
+    N = lindblad._degree(R, 0.0)
+    J = lindblad._bessel(R, N)
+    # scipy's jv itself is off by up to 5.5e-14 at R = 5000 (against mpmath)
+    assert np.abs(J - jv(np.arange(N + 1), R)).max() < (1e-14 if R < 1000 else 1e-13)
+    assert abs(J[0] + 2 * J[2::2].sum() - 1) < 1e-15
+    assert abs(J[0] ** 2 + 2 * (J[1:] ** 2).sum() - 1) < 1e-14
+    if R == 5000.0:
+        assert max(abs(J[k] - v) for k, v in BESSEL_5000.items()) < 1e-15
+
+
 def test_work_beyond_the_limit_is_refused():
     # the spec refuses itself when it is built, before any evolution
     for kw in (dict(gamma_heat=1e12), dict(delta=1e6, loops=200_000)):
         with pytest.raises(ValueError, match="series applications per mode round exceed "
-                                             "the limit 400000"):
+                                             "the limit 60000"):
             lindblad.xx_gate_spec(n_fock=4, **kw)
     lindblad.load_spec(CONFIGS / "ms_gate_lindblad.json")
 
