@@ -11,8 +11,9 @@ the first alternating from one config to the next. Each run records
 ``--pairs N``, every workload of ``perfbench/run.py`` also runs N times per
 checkout for ``BENCHMARK.json``'s ``run_seconds``, in pairs whose first run
 alternates between baseline and change, and its end-to-end medians are
-recorded. The output JSON also records the host: core count, CPU, numpy
-and BLAS versions, and the BLAS thread count.
+recorded. The output JSON also records the host (core count, CPU, numpy
+and BLAS versions, and the BLAS thread count) and each checkout's
+``src/hinv`` line count, as ``wc -l`` gives it.
 """
 
 from __future__ import annotations
@@ -48,6 +49,17 @@ def host() -> dict:
             "blas": f"{blas.get('name')} {blas.get('version')}",
             "OPENBLAS_NUM_THREADS": os.environ["OPENBLAS_NUM_THREADS"],
             "blas_threads": blas_threads()}
+
+
+def src_lines(root: str) -> int:
+    """Lines of ``root``'s ``src/hinv/*.py``, counted as ``wc -l`` counts them."""
+    pkg = os.path.join(root, "src", "hinv")
+    total = 0
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name), "rb") as fh:
+                total += fh.read().count(b"\n")
+    return total
 
 
 def run_config(root: str, name: str, csv: str) -> dict:
@@ -126,6 +138,7 @@ def main() -> int:
         roots = {"baseline": os.path.abspath(args.baseline), **roots}
     report = {"host": host(),
               "source_sha256": {label: source_sha256(root) for label, root in roots.items()},
+              "src_lines": {label: src_lines(root) for label, root in roots.items()},
               "configs": run_configs(roots)}
     if args.pairs:
         with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:

@@ -19,12 +19,15 @@ The plain-text serialization is line oriented, one gate per line:
     qubits <n>
     rot1q <q> <theta> <phi>
     virtual_z <q> <theta>
-    xx <qa> <qb> <theta> <phase_a> <phase_b>
+    xx <qa> <qb> <theta> [<phase_a> <phase_b>]
     hadamard <q>
-    cnot <control> <target> <standard|inverse>
+    cnot <control> <target> [standard|inverse]
     pauli_x <q>            (same for pauli_y / pauli_z)
 
-Floats are written with repr so parse(print(c)) == c exactly.
+A gate line is built by its kind's builder in ``gates.BUILDERS``, so it is
+checked and canonicalized exactly as in code; omitted phases and
+orientation take the builder's defaults.  Floats are written with repr so
+parse(print(c)) == c exactly.
 """
 
 from __future__ import annotations
@@ -251,19 +254,10 @@ def from_text(text: str) -> Circuit:
                 if n is not None:
                     raise ValueError("second 'qubits' header")
                 n = int(args[0])
-            elif kind == "rot1q":
-                gs.append(gates.rot1q(int(args[0]), float(args[1]), float(args[2])))
-            elif kind == "virtual_z":
-                gs.append(gates.virtual_z(int(args[0]), float(args[1])))
-            elif kind == "xx":
-                gs.append(gates.xx(int(args[0]), int(args[1]),
-                                   *(float(a) for a in args[2:])))
-            elif kind == "hadamard":
-                gs.append(gates.hadamard(int(args[0])))
-            elif kind == "cnot":
-                gs.append(gates.cnot(int(args[0]), int(args[1]), *args[2:]))
-            else:
-                gs.append(Gate(kind, (int(args[0]),)))
+            else:   # qubits, angles, then words (a cnot's orientation)
+                nq, na = gates._SHAPES[kind]
+                gs.append(gates.BUILDERS[kind](*map(int, args[:nq]),
+                                               *map(float, args[nq:nq + na]), *args[nq + na:]))
         except ValueError as exc:
             raise CircuitParseError(lineno, str(exc)) from exc
     if n is None:

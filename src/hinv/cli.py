@@ -14,7 +14,8 @@ significant digits.
 Exit codes: 0 success, 2 config error (a bad command line or input file,
 or anything raised while building an experiment's inputs), 3 any other
 failure, such as a numeric guard or running out of memory.  Either way
-stderr gets one ``error:`` line.
+stderr gets one ``error:`` line: the exception's text, or its type's name
+when it has none.
 """
 
 from __future__ import annotations
@@ -311,7 +312,7 @@ def main(argv=None) -> int:
                 spec = lindblad.load_spec(args.spec)
             channels.write_csv(lindblad.ms_gate_channel(spec), args.output)
     except Exception as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2 if isinstance(exc, ConfigError) else 3
     return 0
 

@@ -172,48 +172,37 @@ def twirled_ladder_fidelity(n: int, theta: float, orientations=None,
 # ---------------------------------------------------------------------------
 # SK1 composite pulses
 
+_DRIVEN = ("rot1q", "xx")
+
+
 def sk1_expand(g: Gate) -> list[Gate]:
     """Replace a driven rotation by its SK1 composite.
 
     The target pulse is followed by two full-loop (2*pi spin angle)
     corrections at phases ``phi +/- phi1`` with ``cos(phi1) = -Theta/(4*pi)``,
     where Theta is the effective spin-1/2 rotation angle (theta for a
-    single-qubit rotation, 2*theta for ``exp(-i theta XX)``).  Two-qubit
-    corrections rotate about ``cos(phi1) X(x)X + sin(phi1) Y(x)X``, the
-    anticommuting pair realizing the one-qubit isomorphism; at pulse level
-    they are MS drives with the first ion's phase shifted.  The noiseless
-    product equals the target up to a global phase; under common
-    overrotation the first-order error cancels.
+    single-qubit rotation, 2*theta for ``exp(-i theta XX)``) and phi the first
+    phase; the other phase is kept.  Two-qubit corrections rotate about
+    ``cos(phi1) X(x)X + sin(phi1) Y(x)X``, the anticommuting pair realizing
+    the one-qubit isomorphism; at pulse level they are MS drives with the
+    first ion's phase shifted.  The noiseless product equals the target up to
+    a global phase; under common overrotation the first-order error cancels.
     """
-    if g.kind == "rot1q":
-        theta, phi = g.params
-        phi1 = gates.sk1_phase(theta)
-        q = g.qubits[0]
-        return [g,
-                gates.rot1q(q, 2 * math.pi, phi + phi1),
-                gates.rot1q(q, 2 * math.pi, phi - phi1)]
-    if g.kind == "xx":
-        theta, pa, pb = g.params
-        phi1 = gates.sk1_phase(2 * theta)
-        qa, qb = g.qubits
-        return [g,
-                gates.xx(qa, qb, math.pi, pa + phi1, pb),
-                gates.xx(qa, qb, math.pi, pa - phi1, pb)]
-    raise ValueError(f"sk1_expand applies to rot1q or xx gates, not {g.kind!r}")
+    if g.kind not in _DRIVEN:
+        raise ValueError(f"sk1_expand applies to rot1q or xx gates, not {g.kind!r}")
+    theta, phi, *rest = g.params
+    # (full loop, spin angle): a loop of exp(-i theta XX) is theta = pi
+    loop, spin = (2 * math.pi, theta) if g.kind == "rot1q" else (math.pi, 2 * theta)
+    phi1, build = gates.sk1_phase(spin), gates.BUILDERS[g.kind]
+    return [g] + [build(*g.qubits, loop, phi + s * phi1, *rest) for s in (1, -1)]
 
 
 def flatten_composites(c: Circuit) -> Circuit:
     """Expand every composite (cnot, hadamard) into its native gate sequence."""
     new: list[Gate] = []
     for g in c.gates:
-        if g.kind == "cnot":
-            for h in gates.cnot_sequence(g.orientation):
-                new.append(_remap(h, g.qubits))
-        elif g.kind == "hadamard":
-            for h in gates.hadamard_sequence():
-                new.append(_remap(h, g.qubits))
-        else:
-            new.append(g)
+        seq = gates.native_sequence(g)
+        new += [g] if seq is None else [_remap(h, g.qubits) for h in seq]
     return Circuit(c.n, new)
 
 
@@ -225,8 +214,5 @@ def sk1_compile(c: Circuit) -> Circuit:
     """Flatten composites, then expand every driven rotation with SK1."""
     out: list[Gate] = []
     for g in flatten_composites(c).gates:
-        if g.kind in ("rot1q", "xx"):
-            out += sk1_expand(g)
-        else:
-            out.append(g)
+        out += sk1_expand(g) if g.kind in _DRIVEN else [g]
     return Circuit(c.n, out)

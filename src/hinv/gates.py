@@ -8,8 +8,8 @@ Gate kinds
 - ``xx``: Molmer-Sorensen interaction ``exp(-i theta sigma_a (x) sigma_b)``
   where each factor is an equatorial axis ``sigma_phi = cos(phi) X +
   sin(phi) Y``; per-ion programmed phases default to the XX axis.
-- ``hadamard``: realized through its native sequence (see
-  :func:`hadamard_sequence`), noise applies to the driven part only.
+- ``hadamard``: a composite, virtual Z(pi) then the driven R(pi/2, pi/2);
+  noise applies to the driven part only.
 - ``cnot``: a self-adjoint composite carrying an orientation tag.  The
   ``standard`` orientation is a fixed 5-gate native sequence; ``inverse`` is
   that sequence reversed with every angle negated (the driven Hermitian
@@ -19,6 +19,11 @@ Gate kinds
 - ``pauli_x/y/z``: frame Paulis used by randomized compiling; realized
   exactly (they stand for corrections merged into adjacent single-qubit
   layers at zero cost).
+
+Each fact about a kind is stated once, here: its shape (``_SHAPES``), its
+builder (:data:`BUILDERS`, through which ``circuit.from_text`` parses), and
+for a composite its native sequence (:func:`native_sequence`, which both
+:func:`realize` and ``compiler.flatten_composites`` expand).
 
 Noise model
 -----------
@@ -130,6 +135,11 @@ def pauli(q: int, label: str) -> list[Gate]:
     return [Gate("pauli_" + label.lower(), (q,))]
 
 
+# gate kind -> its builder, called with the qubits and then the parameters
+BUILDERS = {"rot1q": rot1q, "virtual_z": virtual_z, "xx": xx, "hadamard": hadamard,
+            "cnot": cnot, **{k: lambda q, k=k: Gate(k, (q,)) for k in _PAULI_KINDS}}
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     """Coherent control-error parameters; the zero model is exactly ideal."""
@@ -200,19 +210,19 @@ def cnot_sequence(orientation: str = STANDARD) -> list[Gate]:
     raise ValueError(f"bad orientation {orientation!r}")
 
 
-def hadamard_sequence() -> list[Gate]:
-    """Native Hadamard: virtual Z(pi), then the driven R(pi/2, pi/2)."""
-    return [virtual_z(0, math.pi), rot1q(0, math.pi / 2, math.pi / 2)]
+def native_sequence(g: Gate) -> list[Gate] | None:
+    """The native gates of composite ``g`` on its local qubits, or None for a native gate."""
+    if g.kind == "cnot":
+        return cnot_sequence(g.orientation)
+    if g.kind == "hadamard":   # virtual Z(pi), then the driven R(pi/2, pi/2)
+        return [virtual_z(0, math.pi), rot1q(0, math.pi / 2, math.pi / 2)]
+    return None
 
 
 def _negated(g: Gate) -> Gate:
-    if g.kind == "rot1q":
-        return rot1q(g.qubits[0], -g.params[0], g.params[1])
-    if g.kind == "virtual_z":
-        return virtual_z(g.qubits[0], -g.params[0])
-    if g.kind == "xx":
-        return xx(*g.qubits, -g.params[0], g.params[1], g.params[2])
-    raise ValueError(f"cannot negate gate kind {g.kind!r}")
+    """Native ``g`` with its angle negated, its phases kept."""
+    theta, *rest = g.params
+    return Gate(g.kind, g.qubits, (wrap_two_pi(-theta), *rest))
 
 
 @lru_cache(maxsize=4096)
@@ -229,6 +239,9 @@ def realize(g: Gate, nm: NoiseModel = IDEAL) -> np.ndarray:
 
 
 def _realized(g: Gate, nm: NoiseModel) -> np.ndarray:
+    seq = native_sequence(g)
+    if seq is not None:
+        return product(seq, len(g.qubits), nm)
     k = g.kind
     if k == "rot1q":
         theta, phi = g.params
@@ -238,16 +251,11 @@ def _realized(g: Gate, nm: NoiseModel) -> np.ndarray:
         return virtual_z_unitary(g.params[0])
     if k in _PAULI_KINDS:
         return _PAULI_KINDS[k]
-    if k == "xx":
-        theta, pa, pb = g.params
-        G = theta * (1 + nm.eps_2q) * np.kron(_axis(pa + nm.phi_diff),
-                                              _axis(pb + nm.phi_diff))
-        if nm.delta_detune:
-            G = G + nm.delta_detune * abs(theta) / 2 * (np.kron(Z, I2) + np.kron(I2, Z))
-        return qmat.herm_exp(G, 1.0)
-    if k == "hadamard":
-        return product(hadamard_sequence(), 1, nm)
-    return product(cnot_sequence(g.orientation), 2, nm)   # Gate admits no other kind
+    theta, pa, pb = g.params   # xx: Gate admits no other kind
+    G = theta * (1 + nm.eps_2q) * np.kron(_axis(pa + nm.phi_diff), _axis(pb + nm.phi_diff))
+    if nm.delta_detune:
+        G = G + nm.delta_detune * abs(theta) / 2 * (np.kron(Z, I2) + np.kron(I2, Z))
+    return qmat.herm_exp(G, 1.0)
 
 
 def product(seq, n: int, nm: NoiseModel) -> np.ndarray:

@@ -134,8 +134,9 @@ class LindbladSpec:
         if not (self.gamma_heat >= 0 and self.mode_nbar >= 0
                 and self.tau_m > 0 and self.tau_l > 0):
             raise ValueError("gamma_heat and mode_nbar must be >= 0, coherence times positive")
-        for j in range(len(self.modes)):  # refuse a round over MAX_SERIES_WORK now
-            _frame_generator(self, j)
+        # built once, refusing a round over MAX_SERIES_WORK now; _evolve_batch reads them
+        object.__setattr__(self, "_rounds", tuple(_frame_generator(self, j)
+                                                  for j in range(len(self.modes))))
 
     @property
     def total_time(self) -> float:
@@ -285,7 +286,7 @@ def _degree(R: float, nu_t: float) -> int:
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflowing rate fails the work check
 def _frame_generator(spec: LindbladSpec, mode_index: int):
-    """What one mode round applies, in sector order: ``(order, weights, heat, segments, w)``.
+    """One mode round, in sector order and read-only: ``(order, weights, heat, segments, w)``.
 
     ``weights * rho`` is ``sum L rho L^dag`` over ``a^dag a`` and ``Z_1 + Z_2``;
     ``heat[u] = Gamma sqrt(n_i n_j)`` at flat index u = (i, j) of an h x h block
@@ -356,6 +357,9 @@ def _frame_generator(spec: LindbladSpec, mode_index: int):
                          f"{MAX_SERIES_WORK}")
     turn = sum(seg.delta * seg.duration for seg in spec.segments) - offset * T
     w = np.exp(-1j * (turn * fock + spec.stark[0] * T * p1 + spec.stark[1] * T * p2))
+    for a in (order, weights, heat, w, *(seg[0] for seg in segments)):
+        if a is not None:   # kept on the spec, so read-only
+            a.flags.writeable = False
     return order, weights, heat, segments, w
 
 
@@ -363,7 +367,7 @@ def _evolve_batch(rhos: np.ndarray, spec: LindbladSpec, mode_index: int) -> np.n
     """Exact evolution of a stack of Hermitian matrices over the schedule: the
     nonzero parity parts take one Chebyshev action per segment, or per each of
     its equal pieces."""
-    order, weights, heat, segments, w = _frame_generator(spec, mode_index)
+    order, weights, heat, segments, w = spec._rounds[mode_index]
     h = 2 * spec.n_fock
     # parts in order (even, then odd); block k of a part is sector block (k ^ odd, k)
     x = np.asarray(rhos, complex)[:, order[:, None], order].reshape(len(rhos), 2, h, 2, h)
@@ -457,6 +461,8 @@ def ms_gate_channel(spec: LindbladSpec) -> PTM:
 # JSON ingestion (one spec per gate)
 
 def spec_from_dict(d: dict) -> LindbladSpec:
+    if not isinstance(d, dict):
+        raise ValueError(f"spec must be a JSON object, got {d!r}")
     if "calibrate" in d:
         if len(d) > 1:
             raise ValueError(f"no other keys with calibrate: {sorted(set(d) - {'calibrate'})}")

@@ -366,6 +366,28 @@ def test_text_round_trip_on_random_circuits(case):
     assert circuit.from_text(circuit.to_text(c)) == c
 
 
+PARSED = [
+    ("rot1q 1 0.5 -0.25", gates.rot1q(1, 0.5, -0.25)),
+    ("rot1q 0 7.0 1", gates.rot1q(0, 7.0, 1.0)),   # wrapped into (-2 pi, 2 pi]
+    ("virtual_z 1 -0.3", gates.virtual_z(1, -0.3)),
+    ("xx 0 1 0.5", gates.xx(0, 1, 0.5)),
+    ("xx 1 0 -0.5 0.1 0.2", gates.xx(1, 0, -0.5, 0.1, 0.2)),
+    ("hadamard 1", gates.hadamard(1)),
+    ("cnot 0 1", gates.cnot(0, 1)),
+    ("cnot 1 0 inverse", gates.cnot(1, 0, INVERSE)),
+    *((f"pauli_{p} 1", *gates.pauli(1, p)) for p in "xyz"),
+]
+
+
+@pytest.mark.parametrize("line, gate", PARSED, ids=[line for line, _ in PARSED])
+def test_parser_builds_each_kind_through_its_builder(line, gate):
+    assert circuit.from_text(f"qubits 2\n{line}\n").gates == (gate,)
+
+
+def test_parser_cases_cover_every_kind():
+    assert {g.kind for _, g in PARSED} == set(gates.BUILDERS) == set(circuit._ARITY) - {"qubits"}
+
+
 @pytest.mark.parametrize("text, message", [
     ("qubits 2\nvirtual_z 1 inf\n", "line 2: angle must be finite"),
     ("qubits 2\nvirtual_z 1 nan\n", "line 2: angle must be finite"),

@@ -221,6 +221,8 @@ BAD_INPUTS = {
                                  "theta_max": 0.0}, "bad theta grid"),
     "bad_calibrate_key": ("ptm", {"calibrate": {"detuning": 1.0}}, "cannot read spec"),
     "array_spec": ("ptm", [1, 2], "cannot read spec"),
+    "null_spec": ("ptm", None, "spec must be a JSON object, got None"),
+    "string_spec": ("ptm", '"x"', "spec must be a JSON object, got 'x'"),
     "circuit_inf": ("compile", "qubits 2\nvirtual_z 1 inf\n", "angle must be finite"),
     "circuit_nan": ("compile", "qubits 2\nrot1q 0 nan 0.0\n", "angle must be finite"),
     "circuit_trailing": ("compile", "qubits 2\ncnot 0 1 standard 3\n",
@@ -410,11 +412,21 @@ def _out_of_memory(monkeypatch):
     return ["ptm", {"calibrate": {"n_fock": 3}}]
 
 
+def _bare_out_of_memory(monkeypatch):
+    # a MemoryError with no message, as from {"experiment": "repeated_2q",
+    # "reps": 1000000000, "theta_points": 1}, prints its type
+    def fail(*args):
+        raise MemoryError()
+    monkeypatch.setattr(cli, "_repeated_row", fail)
+    return ["sweep", {"experiment": "repeated_2q", "theta_points": 1}]
+
+
 @pytest.mark.parametrize("setup, fragment", [
     (_out_of_range_point, "out of [0, 1]"),
     (_non_cptp_channel, "is not CPTP"),
     (_trace_drift, "trace drift"),
     (_out_of_memory, "Unable to allocate"),
+    (_bare_out_of_memory, "MemoryError"),
 ])
 def test_numeric_failure_exits_3(tmp_path, capsys, monkeypatch, setup, fragment):
     cmd, content = setup(monkeypatch)
@@ -424,7 +436,7 @@ def test_numeric_failure_exits_3(tmp_path, capsys, monkeypatch, setup, fragment)
     argv = ["sweep", str(src), "-o", out] if cmd == "sweep" else ["ptm", str(src), out]
     assert run(argv) == 3
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and fragment in err[0]
+    assert len(err) == 1 and err[0].startswith("error: ") and fragment in err[0]
 
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"

@@ -181,6 +181,16 @@ def test_sk1_two_qubit_identity_and_duration():
     assert [abs(h.params[0]) for h in seq[1:]] == [np.pi, np.pi]
 
 
+def test_sk1_two_qubit_loops_shift_the_first_phase():
+    g = gates.xx(1, 0, 0.3, 0.4, -0.7)
+    phi1 = gates.sk1_phase(0.6)   # spin angle 2 theta
+    seq = compiler.sk1_expand(g)
+    assert seq == [g, gates.xx(1, 0, np.pi, 0.4 + phi1, -0.7),
+                   gates.xx(1, 0, np.pi, 0.4 - phi1, -0.7)]
+    assert phase_overlap(gates.product(seq, 2, gates.IDEAL),
+                         gates.product([g], 2, gates.IDEAL)) > 1 - 1e-10
+
+
 def fit_slope(eps_grid, infidelities):
     return np.polyfit(np.log(eps_grid), np.log(infidelities), 1)[0]
 

@@ -338,8 +338,16 @@ def test_work_beyond_the_limit_is_refused():
     lindblad.load_spec(CONFIGS / "ms_gate_lindblad.json")
 
 
-def test_drive_that_breaks_parity_is_refused(monkeypatch):
+def test_mode_rounds_are_built_once(monkeypatch):
     spec = lindblad.xx_gate_spec(delta=DELTA, n_fock=3)
+    order, weights, heat, segments, w = spec._rounds[0]
+    assert not any(a.flags.writeable for a in (order, w, *(seg[0] for seg in segments)))
+    monkeypatch.setattr(lindblad, "_frame_generator", None)   # evolving builds no round
+    lindblad.ms_gate_channel(spec)
+
+
+def test_drive_that_breaks_parity_is_refused(monkeypatch):
+    # the mode rounds are built with the spec, so the patch goes first
     drive_ops = lindblad._drive_ops
 
     def with_carrier(spec, mode_index):  # a sigma_x carrier on ion 0 couples the sectors
@@ -349,7 +357,7 @@ def test_drive_that_breaks_parity_is_refused(monkeypatch):
 
     monkeypatch.setattr(lindblad, "_drive_ops", with_carrier)
     with pytest.raises(ValueError, match="Pi = Z1 Z2"):
-        lindblad.ms_gate_channel(spec)
+        lindblad.xx_gate_spec(delta=DELTA, n_fock=3)
 
 
 def test_step_count_is_bounded():
