@@ -12,8 +12,11 @@ the first alternating from one config to the next. Each run records
 checkout for ``BENCHMARK.json``'s ``run_seconds``, in pairs whose first run
 alternates between baseline and change, and its end-to-end medians are
 recorded. The output JSON also records the host (core count, CPU, numpy
-and BLAS versions, and the BLAS thread count) and each checkout's
-``src/hinv`` line count, as ``wc -l`` gives it.
+and BLAS versions, and the BLAS thread count), each checkout's
+``src/hinv`` line count, as ``wc -l`` gives it, and one run of each
+checkout's Tier-1 suite (``python -m pytest -q`` in a fresh process with
+one BLAS thread and that checkout's ``src`` on ``PYTHONPATH``): its wall
+time and its passed and failed counts, errors counted as failed.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import hashlib
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -60,6 +64,22 @@ def src_lines(root: str) -> int:
             with open(os.path.join(pkg, name), "rb") as fh:
                 total += fh.read().count(b"\n")
     return total
+
+
+def tier1(root: str) -> dict:
+    """``{wall_s, passed, failed}`` of one run of ``root``'s Tier-1 suite."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"],
+                          cwd=root, env=env, capture_output=True, text=True)
+    wall = time.perf_counter() - t0
+    # the last line sums up, e.g. "2 failed, 431 passed, 1 error in 24.69s"
+    summary = proc.stdout.rstrip().rpartition("\n")[2]
+    counts = {word: int(k) for k, word in re.findall(r"(\d+) (passed|failed|error)", summary)}
+    result = {"wall_s": round(wall, 3), "passed": counts.get("passed", 0),
+              "failed": counts.get("failed", 0) + counts.get("error", 0)}
+    print(f"{root}: tier-1 {result}", file=sys.stderr)
+    return result
 
 
 def run_config(root: str, name: str, csv: str) -> dict:
@@ -139,6 +159,7 @@ def main() -> int:
     report = {"host": host(),
               "source_sha256": {label: source_sha256(root) for label, root in roots.items()},
               "src_lines": {label: src_lines(root) for label, root in roots.items()},
+              "tier1": {label: tier1(root) for label, root in roots.items()},
               "configs": run_configs(roots)}
     if args.pairs:
         with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:

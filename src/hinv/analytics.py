@@ -28,7 +28,10 @@ PLUS = "plus"
 MINUS = "minus"
 
 
-def _sign(orientation: str) -> int:
+def _sign(n: int, orientation: str) -> int:
+    """The sign of a closed form's orientation term, after checking its width."""
+    if n < 2:
+        raise ValueError("n must be >= 2")
     if orientation == PLUS:
         return 1
     if orientation == MINUS:
@@ -59,9 +62,7 @@ def closed_form_fe(theta: float, eps: float, n: int, orientation: str) -> float:
     Exact for n=2; the independent-pair approximation of
     :func:`exact_ladder_fe` for larger n.
     """
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    s = _sign(orientation)
+    s = _sign(n, orientation)
     w = math.pi * eps / 4
     # cos^2 w + s sin^2 w cos(theta), written so the cancellation points are exact
     base = 1.0 - math.sin(w) ** 2 * (1.0 - s * math.cos(theta))
@@ -79,9 +80,7 @@ def exact_ladder_fe(theta: float, eps: float, n: int, orientation: str) -> float
 
     with ``m = n-1-2w`` and ``w' = pi*eps/4``; the fidelity is ``tau**2``.
     """
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    s = _sign(orientation)
+    s = _sign(n, orientation)
     wp = math.pi * eps / 4
     tau = 0.0
     for w in range(n):
@@ -119,9 +118,7 @@ def cnot_hamiltonian_fe(theta: float, eps: float, n: int, orientation: str) -> f
 
     and the fidelity is ``|Tr|^2 / 4**n``.
     """
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    s = _sign(orientation)
+    s = _sign(n, orientation)
     tr = 0.0 + 0.0j
     for w in range(n):
         B = 2.0 * (math.cos(w * eps / 2) ** 2

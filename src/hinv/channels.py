@@ -30,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import qmat
+from . import analytics, qmat
 
 CP_EIG_TOL = -1e-8
 TP_TOL = 1e-10
@@ -101,9 +101,8 @@ def process_fidelity_from_ptm(R: PTM, R_ideal: PTM) -> float:
 
 
 def avg_fidelity_from_ptm(R: PTM, R_ideal: PTM) -> float:
-    """Average gate fidelity ``(2**n F_pro + 1) / (2**n + 1)`` vs an ideal PTM."""
-    d = 2**R.n
-    return (d * process_fidelity_from_ptm(R, R_ideal) + 1.0) / (d + 1.0)
+    """Average gate fidelity against an ideal PTM, from the process fidelity."""
+    return analytics.average_from_entanglement(process_fidelity_from_ptm(R, R_ideal), R.n)
 
 
 def choi_matrix(R: PTM) -> np.ndarray:

@@ -226,7 +226,6 @@ def to_text(c: Circuit) -> str:
 class CircuitParseError(ValueError):
     def __init__(self, lineno: int, message: str):
         super().__init__(f"line {lineno}: {message}")
-        self.lineno = lineno
 
 
 # line keyword -> accepted argument counts

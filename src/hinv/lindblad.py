@@ -72,24 +72,30 @@ class Segment:
 
     def __post_init__(self):
         _numbers(self, "duration", "delta")
-        if not 0 < self.duration < math.inf:
-            raise ValueError("segment duration must be positive and finite")
+        if not self.duration > 0:
+            raise ValueError("segment duration must be positive")
 
 
-def _numbers(spec, *names, per_ion=False) -> None:
-    """Check that each named field of a frozen spec holds a number, or with
-    ``per_ion`` one number per ion, stored as a tuple of two.  A bool is not a
-    number here: JSON ``true`` would pass as 1."""
+def _number(name: str, value, per_ion=False, finite=True):
+    """``value`` checked as the pulse field ``name``: a number, or with ``per_ion``
+    one number per ion, returned as a tuple of two.  A bool is not a number here:
+    JSON ``true`` would pass as 1.  Unless ``finite`` is False, inf and nan are
+    refused too.  Each refusal names the field."""
+    values = tuple(value) if per_ion and isinstance(value, (list, tuple)) else (value,)
+    if per_ion and len(values) != 2:
+        raise ValueError(f"{name} needs one value per ion, got {len(values)}")
+    for x in values:
+        if isinstance(x, bool) or not isinstance(x, (int, float)):
+            raise ValueError(f"{name} must be a number, got {x!r}")
+        if finite and not math.isfinite(x):
+            raise ValueError(f"{name} must be finite, got {x!r}")
+    return values if per_ion else value
+
+
+def _numbers(spec, *names, **rule) -> None:
+    """Check each named field of a frozen spec by :func:`_number`, keeping what it returns."""
     for name in names:
-        value = getattr(spec, name)
-        values = tuple(value) if per_ion and isinstance(value, (list, tuple)) else (value,)
-        if per_ion and len(values) != 2:
-            raise ValueError(f"{name} needs one value per ion, got {len(values)}")
-        for x in values:
-            if isinstance(x, bool) or not isinstance(x, (int, float)):
-                raise ValueError(f"{name} must be a number, got {x!r}")
-        if per_ion:
-            object.__setattr__(spec, name, values)
+        object.__setattr__(spec, name, _number(name, getattr(spec, name), **rule))
 
 
 @dataclass(frozen=True)
@@ -119,18 +125,14 @@ class LindbladSpec:
 
     def __post_init__(self):
         _numbers(self, "omega_r", "omega_b", "phi_r", "phi_b", "stark", per_ion=True)
-        _numbers(self, "tau_m", "gamma_heat", "tau_l", "mode_nbar")
+        _numbers(self, "gamma_heat", "mode_nbar")
+        _numbers(self, "tau_m", "tau_l", finite=False)   # inf: no decoherence
         object.__setattr__(self, "modes", tuple(self.modes))
         object.__setattr__(self, "segments", tuple(self.segments))
         if not isinstance(self.n_fock, int) or self.n_fock < 2:
             raise ValueError(f"n_fock must be an integer >= 2, got {self.n_fock!r}")
         if not self.modes or not self.segments:
             raise ValueError("need at least one mode and one segment")
-        finite = [*self.omega_r, *self.omega_b, *self.phi_r, *self.phi_b, *self.stark,
-                  self.gamma_heat, self.mode_nbar, *(s.delta for s in self.segments),
-                  *(x for m in self.modes for x in (*m.eta, m.offset))]
-        if not all(math.isfinite(x) for x in finite):
-            raise ValueError("drive, mode, schedule and rate values must be finite")
         if not (self.gamma_heat >= 0 and self.mode_nbar >= 0
                 and self.tau_m > 0 and self.tau_l > 0):
             raise ValueError("gamma_heat and mode_nbar must be >= 0, coherence times positive")
@@ -159,18 +161,12 @@ def xx_gate_spec(theta: float = math.pi / 4, delta: float = 2 * math.pi * 20e3,
             raise ValueError(f"{key} must be a finite number > 0, got {value!r}")
     if type(loops) is not int or loops < 1:
         raise ValueError(f"loops must be an integer >= 1, got {loops!r}")
-    if not (isinstance(spin_phases, (tuple, list)) and len(spin_phases) == 2):
-        raise ValueError(f"spin_phases needs one value per ion, got {spin_phases!r}")
-    for x in spin_phases:
-        if isinstance(x, bool) or not isinstance(x, (int, float)):
-            raise ValueError(f"spin_phases must be a number, got {x!r}")
+    phases = tuple(x - math.pi / 2 for x in _number("spin_phases", spin_phases, per_ion=True))
     T = 2 * math.pi * loops / delta
     f = delta * math.sqrt(theta / (4 * math.pi * loops))
     omega = 2 * f / eta * amp_scale
     return LindbladSpec(
-        omega_r=(omega, omega), omega_b=(omega, omega),
-        phi_r=(spin_phases[0] - math.pi / 2, spin_phases[1] - math.pi / 2),
-        phi_b=(spin_phases[0] - math.pi / 2, spin_phases[1] - math.pi / 2),
+        omega_r=(omega, omega), omega_b=(omega, omega), phi_r=phases, phi_b=phases,
         modes=(ModeSpec(eta=(eta, eta)),),
         segments=(Segment(T, delta),),
         tau_m=tau_m, gamma_heat=gamma_heat, tau_l=tau_l,
@@ -207,10 +203,10 @@ def sk1_minus_loop(plus: PTM, theta: float = math.pi / 4) -> PTM:
 # operators
 
 def _drive_ops(spec: LindbladSpec, mode_index: int) -> np.ndarray:
-    """Static operator factors of the four drive terms, stacked (4, D, D).
-
-    Terms are ordered (ion 0 red, ion 0 blue, ion 1 red, ion 1 blue); each is
-    its coefficient at t = 0, which the co-rotating frame keeps.
+    """The ``sigma+`` half of the drive, one (D, D) operator in the basis order
+    ``(s1, s2, n)``: H's drive is it plus its adjoint.  It sums the four terms
+    (ion 0 red, ion 0 blue, ion 1 red, ion 1 blue) in that order, each at its t = 0
+    coefficient, which the co-rotating frame keeps.
     """
     nf = spec.n_fock
     a = np.diag(np.sqrt(np.arange(1, nf, dtype=float)), 1).astype(complex)
@@ -223,7 +219,7 @@ def _drive_ops(spec: LindbladSpec, mode_index: int) -> np.ndarray:
         for omega, phi, mode_op in [(spec.omega_r[ion], spec.phi_r[ion], a),
                                     (spec.omega_b[ion], spec.phi_b[ion], a.T)]:
             ops.append(0.5j * eta * omega * np.exp(1j * phi) * np.kron(sp_full, mode_op))
-    return np.stack(ops)
+    return np.sum(ops, axis=0)
 
 
 def _n_steps(spec: LindbladSpec, steps_per_period: int) -> int:
@@ -330,7 +326,7 @@ def _frame_generator(spec: LindbladSpec, mode_index: int):
         heat = g * np.outer(np.sqrt(q[:h]), np.sqrt(q[:h])).ravel()
     nu = 2 * np.abs(static).max() + weights.max() + (0.0 if heat is None else 2 * heat.max())
     weights = weights if weights.any() else None
-    ops = _drive_ops(spec, mode_index)[:, order[:, None], order].sum(0)
+    ops = _drive_ops(spec, mode_index)[order[:, None], order]
     if ops[:h, h:].any() or ops[h:, :h].any():
         raise ValueError("a drive term breaks the parity symmetry Pi = Z1 Z2 (-1)^(a^dag a)")
     offset, T = spec.modes[mode_index].offset, spec.total_time

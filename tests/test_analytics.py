@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,17 @@ def test_closed_form_trivials():
         for n in (2, 5):
             assert analytics.closed_form_fe(0.0, eps, n, PLUS) == 1.0
             assert abs(analytics.closed_form_fe(np.pi, eps, n, MINUS) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("form", [analytics.closed_form_fe, analytics.exact_ladder_fe,
+                                  analytics.cnot_hamiltonian_fe])
+@pytest.mark.parametrize("n, orientation, message", [
+    (1, PLUS, "n must be >= 2"),
+    (2, "sideways", "orientation must be 'plus' or 'minus', got 'sideways'"),
+], ids=["one_qubit", "sideways"])
+def test_closed_forms_refuse_a_bad_width_or_orientation(form, n, orientation, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        form(0.3, 0.02, n, orientation)
 
 
 @pytest.mark.parametrize("n", [2, 3, 6])

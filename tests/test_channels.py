@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,21 @@ def test_xx_ptm_orthogonal_and_matches_superoperator():
 def test_ptm_rejects_non_unitary():
     with pytest.raises(ValueError):
         channels.ptm_of_unitary(np.ones((4, 4)))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: PTM(1, np.eye(3)), "PTM for n=1 must be 4x4, got (3, 3)"),
+    (lambda: channels.ptm_of_unitary(np.eye(3)), "dimension 3 is not a power of two"),
+    (lambda: channels.compose_ptms([]), "compose_ptms requires at least one PTM"),
+    (lambda: channels.compose_ptms([PTM(1, np.eye(4)), PTM(2, np.eye(16))]),
+     "PTM qubit counts differ"),
+    (lambda: channels.process_fidelity_from_ptm(PTM(1, np.eye(4)), PTM(2, np.eye(16))),
+     "PTM qubit counts differ"),
+], ids=["ptm_shape", "unitary_dimension", "compose_nothing", "compose_mixed_widths",
+        "fidelity_mixed_widths"])
+def test_malformed_channel_input_is_refused(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 def test_depolarizing_edge_cases():

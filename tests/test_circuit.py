@@ -213,6 +213,27 @@ def test_run_density_rejects_bad_channel():
         circuit.run_density(c, channel_map={0: bad})
 
 
+@pytest.mark.parametrize("channel_map, message", [
+    ({1: channels.PTM(2, np.eye(16))}, "channel index 1 out of range"),
+    ({0: channels.PTM(1, np.eye(4))}, "channel on 1 qubits attached to 2-qubit circuit"),
+], ids=["index_past_the_end", "one_qubit_channel"])
+def test_channel_map_must_fit_the_circuit(channel_map, message):
+    c = circuit.Circuit(2, [gates.cnot(0, 1)])
+    for run in (circuit.run_density, circuit.run_ptm):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run(c, channel_map=channel_map)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: circuit.Circuit(0), "circuit needs at least one qubit"),
+    (lambda: circuit.repeated_block_circuit(2, 0.3, 0), "reps must be >= 1"),
+    (lambda: circuit.repeated_block_circuit(2, 0.3, 1, "mixed"), "bad config 'mixed'"),
+], ids=["no_qubits", "zero_reps", "mixed_config"])
+def test_circuit_builders_refuse_bad_shapes(build, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()
+
+
 def test_four_qubit_depolarized_contrast():
     # fitted four-qubit model: global depolarizing p=0.87 after each of the
     # six two-qubit gates; hidden-inverse contrast of |0000> near 0.47
@@ -398,6 +419,8 @@ def test_parser_cases_cover_every_kind():
     ("qubits 2\nxx 0 1 0.5 0.0\n", "line 2: xx takes 3 or 5 argument(s), got 4"),
     ("qubits 2\ncnot 0 1 inverse 7\n", "line 2: cnot takes 2 or 3 argument(s), got 4"),
     ("qubits 2\n# comment\nqubits 3\n", "line 3: second 'qubits' header"),
+    ("qubits 2\nfoo 0\n", "line 2: unknown gate kind 'foo'"),
+    ("qubits 2\ncnot 1 1\n", "line 2: duplicate qubit indices in (1, 1)"),
 ])
 def test_parser_rejects_malformed_lines(text, message):
     with pytest.raises(circuit.CircuitParseError) as ei:

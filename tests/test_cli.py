@@ -251,7 +251,7 @@ BAD_INPUTS = {
     "theta_bool": ("ptm", {"calibrate": {"n_fock": 3, "theta": True}},
                    "theta must be a finite number > 0, got True"),
     "spin_phases_one_entry": ("ptm", {"calibrate": {"n_fock": 3, "spin_phases": [0.5]}},
-                              "spin_phases needs one value per ion, got [0.5]"),
+                              "spin_phases needs one value per ion, got 1"),
     "spin_phases_bool": ("ptm", {"calibrate": {"n_fock": 3, "spin_phases": [True, 0]}},
                          "spin_phases must be a number, got True"),
     "spin_phases_string": ("ptm", {"calibrate": {"n_fock": 3, "spin_phases": ["a", 0]}},
@@ -332,6 +332,16 @@ BAD_INPUTS = {
     "segments_object": ("ptm", {**FULL_SPEC, "segments": {"duration": 1e-4, "delta": 1e5}},
                         "segments must be a list of objects, got {"),
     "calibrate_list": ("ptm", {"calibrate": [1, 2]}, "calibrate must be an object, got [1, 2]"),
+    # a non-finite pulse field names itself
+    "spin_phases_nan": ("ptm", {"calibrate": {"n_fock": 3, "spin_phases": [math.nan, 0]}},
+                        "spin_phases must be finite, got nan"),
+    "segment_delta_inf": ("ptm", {**FULL_SPEC, "segments": [{"duration": 1e-4,
+                                                             "delta": math.inf}]},
+                          "delta must be finite, got inf"),
+    "eta_nan": ("ptm", {**FULL_SPEC, "modes": [{"eta": [0.1, math.nan]}]},
+                "eta must be finite, got nan"),
+    "omega_r_inf": ("ptm", {**FULL_SPEC, "omega_r": [math.inf, 1e5]},
+                    "omega_r must be finite, got inf"),
 }
 
 

@@ -85,6 +85,11 @@ def test_cnot_then_inverse_is_identity():
     assert phase_overlap(np.eye(4), prod) > 1 - 1e-12
 
 
+def test_cnot_sequence_refuses_an_unknown_orientation():
+    with pytest.raises(ValueError, match="bad orientation 'sideways'"):
+        gates.cnot_sequence("sideways")
+
+
 def test_inverse_sequence_negates_and_reverses():
     std = gates.cnot_sequence(STANDARD)
     inv = gates.cnot_sequence(INVERSE)
@@ -231,6 +236,12 @@ def test_gate_rejects_non_finite_parameters(make, args):
         make(*args)
 
 
+@pytest.mark.parametrize("knob", ["eps_2q", "eps_1q", "phi_diff", "delta_detune"])
+def test_noise_model_refuses_a_non_finite_knob(knob):
+    with pytest.raises(ValueError, match=f"{knob} must be finite"):
+        NoiseModel(**{knob: math.nan})
+
+
 @pytest.mark.parametrize("args, message", [
     (("foo", (0,)), "unknown gate kind 'foo'"),
     (("cnot", (0,)), "cnot takes 2 qubit(s) and 0 angle(s), got 1 and 0"),
@@ -258,6 +269,6 @@ def test_wrap_two_pi_lands_in_range_and_is_idempotent(theta):
 
 
 @pytest.mark.parametrize("theta,want", [(3 * np.pi, np.pi), (-3.5 * np.pi, np.pi / 2),
-                                        (0.4, 0.4)])
+                                        (0.4, 0.4), (1.5 * np.pi, -np.pi / 2)])
 def test_wrap_pi(theta, want):
     assert abs(gates.wrap_pi(theta) - want) < 1e-12

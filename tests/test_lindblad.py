@@ -329,6 +329,15 @@ def test_bessel_coefficients(R):
         assert max(abs(J[k] - v) for k, v in BESSEL_5000.items()) < 1e-15
 
 
+@pytest.mark.parametrize("x", [1e-12, 1e-20])
+def test_bessel_rescales_at_a_tiny_argument(x):
+    # the backward recurrence passes 1e250 and is rescaled (at 1e-20 it would overflow
+    # otherwise); J_k(x) is (x / 2)^k / k! to far below roundoff, at values down to
+    # 1e-62 that an absolute comparison cannot see
+    series = np.array([(x / 2) ** k / math.factorial(k) for k in range(4)])
+    assert np.all(np.abs(lindblad._bessel(x, 3) - series) <= 1e-15 * series)
+
+
 def test_work_beyond_the_limit_is_refused():
     # the spec refuses itself when it is built, before any evolution
     for kw in (dict(gamma_heat=1e12), dict(delta=1e6, loops=200_000)):
@@ -351,9 +360,7 @@ def test_drive_that_breaks_parity_is_refused(monkeypatch):
     drive_ops = lindblad._drive_ops
 
     def with_carrier(spec, mode_index):  # a sigma_x carrier on ion 0 couples the sectors
-        ops = drive_ops(spec, mode_index)
-        ops[0] += 1e4 * kron_chain(SX, I2, np.eye(spec.n_fock))
-        return ops
+        return drive_ops(spec, mode_index) + 1e4 * kron_chain(SX, I2, np.eye(spec.n_fock))
 
     monkeypatch.setattr(lindblad, "_drive_ops", with_carrier)
     with pytest.raises(ValueError, match="Pi = Z1 Z2"):
