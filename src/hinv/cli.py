@@ -75,12 +75,12 @@ _KINDS = {str: "a string", int: "an integer", float: "a finite number",
 
 
 def _checked(key, value, default):
-    """``value`` if it has the type of ``default``; an int passes for a float."""
+    """``value`` if it has the type of ``default``; an int a float can hold passes for a float."""
     if isinstance(default, list):
         if isinstance(value, list) and value:
             return [_checked(f"{key} entries", v, default[0]) for v in value]
     elif type(value) is type(default) or (type(value), type(default)) == (int, float):
-        if not isinstance(value, float) or math.isfinite(value):
+        if not isinstance(default, float) or abs(value) <= sys.float_info.max:
             return value
     raise ConfigError(f"{key} must be {_KINDS[type(default)]}, got {value!r}")
 
@@ -148,9 +148,10 @@ def _contrast_row(theta, n, nm, depol):
 def _sk1_row(eps_amp, gamma, specs):
     """Raw and SK1-corrected fidelity of the evolved pulses ``specs``."""
     ideal = channels.ptm_of_unitary(gates.xx_unitary(math.pi / 4))
-    # the SK1 target pulse is the raw gate
-    raw, plus = [lindblad.ms_gate_channel(s) for s in specs]
-    sk1 = channels.compose_ptms([raw, plus, lindblad.sk1_minus_loop(plus)])
+    # the SK1 target pulse is the raw gate; both loops follow from the (0, 0) loop
+    raw, loop = [lindblad.ms_gate_channel(s) for s in specs]
+    phi1 = gates.sk1_phase(math.pi / 2)
+    sk1 = channels.compose_ptms([raw] + [lindblad.sk1_loop(loop, p) for p in (phi1, -phi1)])
     f_raw = channels.avg_fidelity_from_ptm(raw, ideal)
     f_sk1 = channels.avg_fidelity_from_ptm(sk1, ideal)
     # f_raw and f_sk1 carry ~1e-16 absolute error: the difference is good to 1e-12

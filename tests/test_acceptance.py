@@ -325,9 +325,10 @@ def test_criterion_10_lindblad_suite():
     diffs = {}
     for gamma in (20.0, 2000.0):
         kw = dict(delta=LINDBLAD_DELTA, gamma_heat=gamma, amp_scale=1.02)
-        raw, plus = [lindblad.ms_gate_channel(s)
+        raw, loop = [lindblad.ms_gate_channel(s)
                      for s in lindblad.sk1_pulse_specs(np.pi / 4, **kw)]
-        sk1 = channels.compose_ptms([raw, plus, lindblad.sk1_minus_loop(plus)])
+        phi1 = gates.sk1_phase(np.pi / 2)
+        sk1 = channels.compose_ptms([raw] + [lindblad.sk1_loop(loop, p) for p in (phi1, -phi1)])
         diffs[gamma] = (channels.avg_fidelity_from_ptm(sk1, ideal)
                         - channels.avg_fidelity_from_ptm(raw, ideal))
     crossover = diffs[20.0] > 0 > diffs[2000.0]

@@ -213,6 +213,9 @@ BAD_INPUTS = {
     "p_depol_2": ("sweep", {"experiment": "contrast_4q", "p_depol": 2},
                   "retention probability"),
     "rc_width_1": ("sweep", {"experiment": "rc_compare", "n": 1}, "n in [2, 10]"),
+    # a JSON integer past the float range
+    "eps_2q_huge_int": ("sweep", {"experiment": "overrotation_sweep", "eps_2q": 10 ** 400},
+                        "eps_2q must be a finite number, got 1000"),
     "phi_nan": ("sweep", {"experiment": "phase_sweep", "phi_diff_deg": math.nan},
                 "phi_diff_deg must be a finite number"),
     "ptm_extract": ("sweep", {"experiment": "ptm_extract", "steps_per_period": 100},
@@ -256,6 +259,10 @@ BAD_INPUTS = {
                          "spin_phases must be a number, got True"),
     "spin_phases_string": ("ptm", {"calibrate": {"n_fock": 3, "spin_phases": ["a", 0]}},
                            "spin_phases must be a number, got 'a'"),
+    "spin_phases_huge_int": ("ptm", {"calibrate": {"n_fock": 3, "spin_phases": [10 ** 400, 0]}},
+                             "spin_phases must be finite, got 1000"),
+    "theta_huge_int": ("ptm", {"calibrate": {"n_fock": 3, "theta": 10 ** 400}},
+                       "theta must be a finite number > 0, got 1000"),
     "compile_without_pass": ("compile {src} {out}", "qubits 2\n",
                              "hinv compile: the following arguments are required: --pass"),
     "unknown_subcommand": ("frobnicate {src}", "", "invalid choice: 'frobnicate'"),
@@ -540,7 +547,7 @@ def test_shipped_ptm_spec_reproduces_recorded_csv(tmp_path):
     out = tmp_path / "ptm.csv"
     assert run(["ptm", str(CONFIGS / "ms_gate_lindblad.json"), str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "b8befccff29897133d8c8cb27ac81873377d36440e0e2705933fe9e3b03ad9f8")
+        "058b04c9268eaf7227b58b071dcdce7a7dc91d42ae3c90f9bac88ca6e17debe8")
 
 
 def test_importing_the_cli_loads_no_process_pool():

@@ -35,16 +35,16 @@ def test_spin_phase_convention():
 
 @pytest.mark.parametrize("noise", [dict(gamma_heat=600.0, tau_m=2e-3, tau_l=5e-3),
                                    dict(mode_nbar=0.3)], ids=["dissipators", "thermal"])
-def test_minus_loop_is_the_plus_loop_in_a_z_rotated_frame(noise):
+def test_both_sk1_loops_are_the_zero_phase_loop_in_z_rotated_frames(noise):
     kw = dict(delta=DELTA, n_fock=4, amp_scale=1.01, **noise)
     phi1 = gates.sk1_phase(np.pi / 2)
-    plus = lindblad.ms_gate_channel(lindblad.sk1_pulse_specs(np.pi / 4, **kw)[1])
-    minus = lindblad.ms_gate_channel(
-        lindblad.xx_gate_spec(np.pi, loops=4, spin_phases=(-phi1, 0.0), **kw))
-    assert np.abs(lindblad.sk1_minus_loop(plus).mat - minus.mat).max() <= 1e-12
-    # the frame rotation is by -2 phi1: the opposite sign gives another channel
-    V = channels.ptm_of_unitary(kron_chain(gates.virtual_z_unitary(2 * phi1), I2)).mat
-    assert np.abs(V @ plus.mat @ V.T - minus.mat).max() > 1e-3
+    loop = lindblad.ms_gate_channel(lindblad.sk1_pulse_specs(np.pi / 4, **kw)[1])
+    for phase in (phi1, -phi1):
+        direct = lindblad.ms_gate_channel(
+            lindblad.xx_gate_spec(np.pi, loops=4, spin_phases=(phase, 0.0), **kw))
+        assert np.abs(lindblad.sk1_loop(loop, phase).mat - direct.mat).max() <= 1e-12
+        # the frame rotation is by +phase: the opposite sign gives another channel
+        assert np.abs(lindblad.sk1_loop(loop, -phase).mat - direct.mat).max() > 1e-3
 
 
 def test_noiseless_evolution_matches_closed_system_propagator():
@@ -380,3 +380,67 @@ def test_step_count_must_be_positive():
     for bad in (0, -5):
         with pytest.raises(ValueError, match="steps_per_period must be >= 1"):
             lindblad._n_steps(spec, bad)
+
+
+# ion-swap symmetry: a spec whose per-ion pairs are equal evolves 10 Pauli inputs
+
+def _stack_sizes(monkeypatch):
+    """The stack size of every ``_evolve_batch`` call from here on."""
+    sizes, evolve_batch = [], lindblad._evolve_batch
+
+    def spy(rhos, spec, mode_index):
+        sizes.append(len(rhos))
+        return evolve_batch(rhos, spec, mode_index)
+
+    monkeypatch.setattr(lindblad, "_evolve_batch", spy)
+    return sizes
+
+
+def _two_symmetric_modes(**kw):
+    base = lindblad.xx_gate_spec(delta=DELTA)
+    return dataclasses.replace(base, modes=(base.modes[0], ModeSpec(
+        eta=(0.05, 0.05), offset=2 * np.pi * 30e3)), **kw)
+
+
+SYMMETRIC_CASES = {
+    "closed": ORACLE_CASES["closed"],
+    "heating": ORACLE_CASES["heating"],
+    "dephasing": lindblad.xx_gate_spec(delta=DELTA, n_fock=4, tau_m=2e-4, tau_l=5e-4),
+    "fm_all_channels": _fm_spec(n_fock=4, gamma_heat=1000.0, tau_m=1e-3, tau_l=5e-4),
+    "two_modes": _two_symmetric_modes(n_fock=4, gamma_heat=500.0, tau_l=1e-3,
+                                      stark=(2 * np.pi * 1e3,) * 2),
+}
+
+
+@pytest.mark.parametrize("spec", SYMMETRIC_CASES.values(), ids=SYMMETRIC_CASES)
+def test_swap_symmetric_spec_evolves_ten_inputs_to_the_sixteen_input_channel(spec,
+                                                                             monkeypatch):
+    sizes = _stack_sizes(monkeypatch)
+    fast = lindblad.ms_gate_channel(spec).mat
+    assert sizes == [10] * len(spec.modes)
+    monkeypatch.setattr(lindblad, "_swap_symmetric", lambda spec: False)
+    assert np.abs(fast - lindblad.ms_gate_channel(spec).mat).max() <= 1e-14
+    assert sizes[len(spec.modes):] == [16] * len(spec.modes)
+
+
+def test_ten_input_heating_channel_matches_dense_oracle():
+    spec = SYMMETRIC_CASES["heating"]
+    assert np.abs(lindblad.ms_gate_channel(spec).mat - dense_gate_channel(spec)).max() <= 1e-14
+
+
+_BASE = lindblad.xx_gate_spec(delta=DELTA, n_fock=3)
+ASYMMETRIC_CASES = {
+    "omega_r": dict(omega_r=(_BASE.omega_r[0], 1.01 * _BASE.omega_r[0])),
+    "omega_b": dict(omega_b=(_BASE.omega_b[0], 1.01 * _BASE.omega_b[0])),
+    "phi_r": dict(phi_r=(_BASE.phi_r[0], _BASE.phi_r[0] + 0.1)),
+    "phi_b": dict(phi_b=(_BASE.phi_b[0], _BASE.phi_b[0] + 0.1)),
+    "stark": dict(stark=(0.0, 2 * np.pi * 1e3)),
+    "eta": dict(modes=(ModeSpec(eta=(0.1, 0.101)),)),
+}
+
+
+@pytest.mark.parametrize("change", ASYMMETRIC_CASES.values(), ids=ASYMMETRIC_CASES)
+def test_one_unequal_per_ion_field_evolves_all_sixteen_inputs(change, monkeypatch):
+    sizes = _stack_sizes(monkeypatch)
+    lindblad.ms_gate_channel(dataclasses.replace(_BASE, **change))
+    assert sizes == [16]
