@@ -547,7 +547,7 @@ def test_shipped_ptm_spec_reproduces_recorded_csv(tmp_path):
     out = tmp_path / "ptm.csv"
     assert run(["ptm", str(CONFIGS / "ms_gate_lindblad.json"), str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "058b04c9268eaf7227b58b071dcdce7a7dc91d42ae3c90f9bac88ca6e17debe8")
+        "19d53164b4b88b32e5873b72d1967573f66db4e1682c5c4cb5dbe39948ff5c20")
 
 
 def test_importing_the_cli_loads_no_process_pool():
