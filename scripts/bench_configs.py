@@ -3,15 +3,17 @@
     python3 scripts/bench_configs.py -o BENCH.json [--baseline DIR] [--pairs N]
 
 Run from the repository root. Each checkout (this one, and ``--baseline``
-if given) runs every file of this checkout's ``configs/`` that it has once,
-in a fresh process with one BLAS thread: ``hinv sweep`` for an experiment
-config, ``hinv ptm`` for a pulse spec. The checkouts take turns per config,
-the first alternating from one config to the next. Each run records
-``{wall_s, rc, csv_sha256}``. With
+if given) runs every file of this checkout's ``configs/`` that it has
+``CONFIG_PAIRS`` times, each in a fresh process with one BLAS thread:
+``hinv sweep`` for an experiment config, ``hinv ptm`` for a pulse spec.
+The checkouts take turns per config in pairs whose first run alternates.
+Each run records ``{wall_s, rc, csv_sha256}``, and each config its runs
+and the median and quartiles of their ``wall_s``; a checkout whose runs of
+one config write different CSVs stops the script. With
 ``--pairs N``, every workload of ``perfbench/run.py`` also runs N times per
 checkout for ``BENCHMARK.json``'s ``run_seconds``, in pairs whose first run
-alternates between baseline and change, and its end-to-end medians are
-recorded. The output JSON also records the host (core count, CPU, numpy
+alternates between baseline and change, and its end-to-end medians and
+quartiles are recorded. The output JSON also records the host (core count, CPU, numpy
 and BLAS versions, and the BLAS thread count), each checkout's
 ``src/hinv`` line count, as ``wc -l`` gives it, and one run of each
 checkout's Tier-1 suite (``python -m pytest -q`` in a fresh process with
@@ -82,6 +84,11 @@ def tier1(root: str) -> dict:
     return result
 
 
+# runs of each shipped config per checkout: one reading carries the host's
+# load at that moment, so a config's time is the median of several
+CONFIG_PAIRS = 5
+
+
 def run_config(root: str, name: str, csv: str) -> dict:
     """``{wall_s, rc, csv_sha256}`` of one run of ``root``'s config ``name``, writing ``csv``."""
     path = os.path.join(root, "configs", name)
@@ -102,20 +109,32 @@ def run_config(root: str, name: str, csv: str) -> dict:
 
 
 def run_configs(roots: dict) -> dict:
-    """``{label: {config file: {wall_s, rc, csv_sha256}}}`` over this checkout's configs.
+    """``{label: {config file: {runs, rc, csv_sha256, wall_s}}}`` over this checkout's configs.
 
-    Each config runs on every checkout that has it before the next config starts,
-    and the first checkout alternates from one config to the next, so a drift in
-    machine load falls on both sides alike.
+    Each config runs ``CONFIG_PAIRS`` times on every checkout that has it before
+    the next config starts, and the first checkout alternates from one run to
+    the next, so a drift in machine load falls on both sides alike.  ``wall_s``
+    holds the median and quartiles of the runs.
     """
     out = {label: {} for label in roots}
     with tempfile.TemporaryDirectory() as tmp:
-        for i, name in enumerate(sorted(os.listdir(os.path.join(ROOT, "configs")))):
-            order = list(roots.items())
-            for label, root in order[::-1] if i % 2 else order:
-                if os.path.exists(os.path.join(root, "configs", name)):
-                    out[label][name] = run_config(root, name,
-                                                  os.path.join(tmp, f"{label}-{name}.csv"))
+        for name in sorted(os.listdir(os.path.join(ROOT, "configs"))):
+            have = {label: root for label, root in roots.items()
+                    if os.path.exists(os.path.join(root, "configs", name))}
+            runs = {label: [] for label in have}
+            for k in range(CONFIG_PAIRS):
+                order = list(have.items())
+                for label, root in order[::-1] if k % 2 else order:
+                    runs[label].append(run_config(root, name,
+                                                  os.path.join(tmp, f"{label}-{name}.csv")))
+            for label, rs in runs.items():
+                digests = {r["csv_sha256"] for r in rs}
+                if len(digests) != 1:
+                    raise SystemExit(f"{label}: {name} wrote {len(digests)} different CSVs")
+                q1, median, q3 = statistics.quantiles([r["wall_s"] for r in rs], n=4)
+                out[label][name] = {"runs": rs, "rc": next((r["rc"] for r in rs if r["rc"]), 0),
+                                    "csv_sha256": digests.pop(),
+                                    "wall_s": {"median": median, "q1": q1, "q3": q3}}
     return out
 
 
@@ -129,7 +148,8 @@ def perfbench_once(root: str, workload: str, seed: int, seconds: float) -> dict:
 
 
 def perfbench_pairs(roots: dict, pairs: int, seconds: float) -> dict:
-    """Per workload: every run, pair by pair, and each checkout's medians.
+    """Per workload: every run, pair by pair, and each checkout's medians and
+    quartiles ``[q1, q3]``.
 
     Odd-numbered pairs run the checkouts in reverse order, so neither always goes first.
     """
@@ -142,6 +162,8 @@ def perfbench_pairs(roots: dict, pairs: int, seconds: float) -> dict:
                 runs[label].append(perfbench_once(root, w, k + 1, seconds))
                 print(f"{w} pair {k} {label}: {runs[label][-1]}", file=sys.stderr)
         out[w] = {label: {"median": {m: statistics.median(r[m] for r in rs) for m in rs[0]},
+                          "quartiles": {m: statistics.quantiles([r[m] for r in rs], n=4)[::2]
+                                        for m in rs[0]},
                           "runs": rs} for label, rs in runs.items()}
     return out
 

@@ -17,10 +17,12 @@ Complete positivity is checked through the (trace-normalized) Choi matrix
 
     C = (1/4**n) sum_ij R_ij  P_i (x) P_j^T,
 
-which is positive semidefinite iff the channel is CP.  It is built one
-Pauli digit at a time (2n single-qubit contractions), and its minimum
-eigenvalue is computed once per PTM object and cached on it: ``PTM.mat``
-is a view of a read-only copy, so it cannot be changed after the check.
+which is positive semidefinite iff the channel is CP.  For a Pauli channel
+(an exactly diagonal PTM) its eigenvalues are the Pauli probabilities, got
+in closed form from the diagonal; any other PTM's Choi matrix is built one
+Pauli digit at a time (2n single-qubit contractions) and diagonalized.  The
+minimum eigenvalue is computed once per PTM object and cached on it:
+``PTM.mat`` is a view of a read-only copy, so it cannot be changed after the check.
 """
 
 from __future__ import annotations
@@ -117,7 +119,16 @@ def choi_matrix(R: PTM) -> np.ndarray:
     return C.reshape(4**n, 4**n) / 4**n
 
 
+# +1 where single-qubit Paulis a and k (order IXYZ) commute, else -1
+_COMMUTES = np.array([[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1]])
+
+
 def choi_min_eigenvalue(R: PTM) -> float:
+    if np.count_nonzero(R.mat) == np.count_nonzero(np.diagonal(R.mat)):   # Pauli channel
+        p = np.diagonal(R.mat).reshape((4,) * R.n)
+        for _ in range(R.n):   # p_a = sum_k S(a, k) R_kk / 4**n, a Pauli digit at a time
+            p = np.tensordot(p, _COMMUTES, axes=(0, 0))
+        return float(p.min() / 4**R.n)
     C = choi_matrix(R)
     C = 0.5 * (C + C.conj().T)
     return float(np.linalg.eigvalsh(C)[0])

@@ -33,6 +33,7 @@ parse(print(c)) == c exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -171,11 +172,11 @@ def _run(c: Circuit, nm: NoiseModel, channel_map, pauli: bool) -> np.ndarray:
     rho[0, 0] = 1.0
     state = channels.pauli_vector(rho, n) if pauli else rho.reshape(-1)
     for i, g in enumerate(c.gates):
-        U = gates.realize(g, nm)
         if pauli:
             bits = tuple(b for q in g.qubits for b in (2 * q, 2 * q + 1))
-            state = qmat.apply(channels.ptm_of_unitary(U).mat, bits, state, 2 * n)
+            state = qmat.apply(_gate_ptm(g, nm), bits, state, 2 * n)
         else:
+            U = gates.realize(g, nm)
             state = qmat.apply(U, g.qubits, state, 2 * n)
             state = qmat.apply(U.conj(), tuple(n + q for q in g.qubits), state, 2 * n)
         if i in channel_map:
@@ -190,6 +191,12 @@ def _run(c: Circuit, nm: NoiseModel, channel_map, pauli: bool) -> np.ndarray:
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"probability normalization drifted to {total}")
     return probs
+
+
+@lru_cache(maxsize=4096)
+def _gate_ptm(g: Gate, nm: NoiseModel) -> np.ndarray:
+    """The read-only PTM of ``gates.realize(g, nm)``, memoized on the same key."""
+    return channels.ptm_of_unitary(gates.realize(g, nm)).mat
 
 
 def channels_after_two_qubit(c: Circuit, ptm) -> dict:

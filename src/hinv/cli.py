@@ -75,13 +75,16 @@ _KINDS = {str: "a string", int: "an integer", float: "a finite number",
 
 
 def _checked(key, value, default):
-    """``value`` if it has the type of ``default``; an int a float can hold passes for a float."""
+    """``value`` if it has the type of ``default`` (an int passes for a float)
+    and, if a number, a float can hold it."""
     if isinstance(default, list):
         if isinstance(value, list) and value:
             return [_checked(f"{key} entries", v, default[0]) for v in value]
     elif type(value) is type(default) or (type(value), type(default)) == (int, float):
-        if not isinstance(default, float) or abs(value) <= sys.float_info.max:
+        if isinstance(default, str) or abs(value) <= sys.float_info.max:
             return value
+        if isinstance(default, int):
+            raise ConfigError(f"{key} must be finite, got {value!r}")
     raise ConfigError(f"{key} must be {_KINDS[type(default)]}, got {value!r}")
 
 

@@ -138,6 +138,7 @@ class LindbladSpec:
         object.__setattr__(self, "segments", tuple(self.segments))
         if not isinstance(self.n_fock, int) or self.n_fock < 2:
             raise ValueError(f"n_fock must be an integer >= 2, got {self.n_fock!r}")
+        _number("n_fock", self.n_fock)
         if not self.modes or not self.segments:
             raise ValueError("need at least one mode and one segment")
         if not (self.gamma_heat >= 0 and self.mode_nbar >= 0
@@ -168,6 +169,7 @@ def xx_gate_spec(theta: float = math.pi / 4, delta: float = 2 * math.pi * 20e3,
             raise ValueError(f"{key} must be a finite number > 0, got {value!r}")
     if type(loops) is not int or loops < 1:
         raise ValueError(f"loops must be an integer >= 1, got {loops!r}")
+    _number("loops", loops)
     phases = tuple(x - math.pi / 2 for x in _number("spin_phases", spin_phases, per_ion=True))
     T = 2 * math.pi * loops / delta
     f = delta * math.sqrt(theta / (4 * math.pi * loops))

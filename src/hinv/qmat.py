@@ -81,11 +81,14 @@ def pauli_basis(n: int) -> np.ndarray:
 
     Stacked into a cached, read-only (4**n, 2**n, 2**n) array.  Ordering is
     lexicographic with I < X < Y < Z; each element is Hermitian and
-    satisfies ``Tr[P_i P_j] = 2**n * delta_ij``.
+    satisfies ``Tr[P_i P_j] = 2**n * delta_ij``.  Level n is one broadcast
+    product of level n-1 and the single-qubit stack, exact as entries are 0, +-1, +-i.
     """
     _check_n(n)
-    stack = np.stack([kron([PAULI_1Q[c] for c in labels])
-                      for labels in product("IXYZ", repeat=n)])
+    stack = np.stack([PAULI_1Q[c] for c in "IXYZ"])
+    if n > 1:   # element 4b + a is kron(P_b, P_a): axes (b, a, rows of each, cols of each)
+        prev, d = pauli_basis(n - 1), 2**n
+        stack = (prev[:, None, :, None, :, None] * stack[:, None, :, None, :]).reshape(-1, d, d)
     stack.flags.writeable = False
     return stack
 
@@ -102,7 +105,8 @@ def apply(op, qubits, M, n: int) -> np.ndarray:
     rows (a vector or a ``2**n x m`` array) and is not modified.  The
     contraction touches only the ``qubits`` axes of the rows, so it costs
     O(2**k * size(M)) instead of O(4**n * size(M)).  Qubit 0 is the most
-    significant bit of the row index.
+    significant bit of the row index.  It is one GEMM of ``op`` with the rows'
+    ``qubits`` axes transposed to the front, transposed back into a new array.
     """
     qubits = tuple(qubits)
     k = len(qubits)
@@ -114,10 +118,17 @@ def apply(op, qubits, M, n: int) -> np.ndarray:
         raise ValueError(f"bad qubit indices {qubits} for n={n}")
     if M.ndim not in (1, 2) or M.shape[0] != 2**n:
         raise ValueError(f"array shape {M.shape} does not have {2**n} rows")
-    T = M.reshape((2,) * n + (-1,))
-    out = np.tensordot(op.reshape((2,) * (2 * k)), T, axes=(range(k, 2 * k), qubits))
-    # the operator's output axes come first; move them back onto ``qubits``
-    return np.moveaxis(out, range(k), qubits).reshape(M.shape)
+    front, back = _axis_order(qubits, n)
+    T = M.reshape((2,) * n + (-1,)).transpose(front)
+    out = op @ T.reshape(2**k, -1)
+    return out.reshape(T.shape).transpose(back).reshape(M.shape)
+
+
+@lru_cache(maxsize=4096)
+def _axis_order(qubits, n):
+    """The register's axes (rows, then columns) with ``qubits`` first, and the inverse."""
+    front = qubits + tuple(a for a in range(n + 1) if a not in qubits)
+    return front, tuple(np.argsort(front))
 
 
 def embed(U, qubits, n: int) -> np.ndarray:

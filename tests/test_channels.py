@@ -127,7 +127,8 @@ def test_cptp_checks(rng):
     assert not channels.is_trace_preserving(PTM(2, np.eye(16) * 1.01))
     # transposition is positive but not completely positive
     T = np.diag([1.0, 1.0, -1.0, 1.0])
-    assert channels.choi_min_eigenvalue(PTM(1, T)) < -0.4
+    assert channels.choi_min_eigenvalue(PTM(1, T)) == pytest.approx(-0.5, abs=1e-15)
+    assert not channels.is_cptp(PTM(1, T))
 
 
 def test_ptm_matrix_cannot_be_made_writeable_again():
@@ -160,6 +161,34 @@ def test_choi_matrix_matches_definition(rng, n):
         assert np.abs(got - choi_by_definition(mat, n)).max() < 1e-13
     assert channels.choi_min_eigenvalue(PTM(n, R)) < -1e-3
     assert channels.is_cptp(cp)
+
+
+def commutation_signs(n):
+    """S[a, k] = +1 if the Pauli strings a and k commute, else -1, from their labels."""
+    labels = qmat.pauli_labels(n)
+    return np.array([[(-1.0) ** sum(x != "I" != y != x for x, y in zip(a, k))
+                      for k in labels] for a in labels])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_pauli_channel_margin_is_its_smallest_pauli_probability(rng, n, monkeypatch):
+    # lambda = S p for Pauli probabilities p: on the simplex (CP), with a negative
+    # entry and summing to 1 (outside the CP polytope), and a random diagonal
+    S = commutation_signs(n)
+    simplex = rng.dirichlet(np.ones(4**n))
+    signed = 1.5 * rng.dirichlet(np.ones(4**n))
+    signed[signed.argmin()] -= 0.5    # below 1.5 / 4 - 0.5 < 0
+    wild = np.concatenate([[1.0], rng.uniform(-1.2, 1.2, 4**n - 1)])
+    cases = [S @ simplex, S @ signed, wild]
+    want = [np.linalg.eigvalsh(channels.choi_matrix(PTM(n, np.diag(lam))))[0] for lam in cases]
+    assert want[0] > 0 > want[1]
+    # the margin of a diagonal PTM never builds the Choi matrix
+    monkeypatch.setattr(channels, "choi_matrix", None)
+    for lam, w in zip(cases, want):
+        R = PTM(n, np.diag(lam))
+        assert abs(channels.choi_min_eigenvalue(R) - w) <= 1e-14
+        assert channels.is_cptp(R) == (w >= channels.CP_EIG_TOL)
+    assert abs(channels.choi_min_eigenvalue(PTM(n, np.diag(S @ signed))) - signed.min()) < 1e-14
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -296,6 +296,18 @@ def test_cptp_check_runs_once_per_shared_ptm(monkeypatch):
     assert len(calls) == 2 and calls[1] is channel_map[max(channel_map)]
 
 
+def test_memoized_gate_ptm_is_read_only_and_the_realized_gates_ptm():
+    nm = NoiseModel(eps_2q=0.02, eps_1q=0.01, phi_diff=0.05, delta_detune=0.01)
+    for g in (gates.cnot(0, 1, INVERSE), gates.xx(1, 0, 0.7), gates.rot1q(0, 0.4, 0.2),
+              gates.hadamard(1), *gates.pauli(0, "Y")):
+        R = circuit._gate_ptm(g, nm)
+        assert R is circuit._gate_ptm(g, nm)
+        assert not R.flags.writeable
+        with pytest.raises(ValueError):
+            R[0, 0] = 2.0
+        assert np.array_equal(R, channels.ptm_of_unitary(gates.realize(g, nm)).mat)
+
+
 def test_non_cptp_channel_reports_its_gate_index():
     c = circuit.parity_controlled_z(3, 0.3)  # CNOTs at gates 0, 1, 3, 4
     good = channels.depolarizing_ptm(3, 0.9)

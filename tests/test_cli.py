@@ -263,6 +263,13 @@ BAD_INPUTS = {
                              "spin_phases must be finite, got 1000"),
     "theta_huge_int": ("ptm", {"calibrate": {"n_fock": 3, "theta": 10 ** 400}},
                        "theta must be a finite number > 0, got 1000"),
+    "loops_huge_int": ("ptm", {"calibrate": {"n_fock": 3, "loops": 10 ** 400}},
+                       "loops must be finite, got 1000"),
+    "n_fock_huge_int": ("ptm", {"calibrate": {"n_fock": 10 ** 400}},
+                        "n_fock must be finite, got 1000"),
+    "theta_points_huge_int": ("sweep", {"experiment": "overrotation_sweep",
+                                        "theta_points": 10 ** 400},
+                              "theta_points must be finite, got 1000"),
     "compile_without_pass": ("compile {src} {out}", "qubits 2\n",
                              "hinv compile: the following arguments are required: --pass"),
     "unknown_subcommand": ("frobnicate {src}", "", "invalid choice: 'frobnicate'"),

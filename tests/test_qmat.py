@@ -103,6 +103,16 @@ def test_pauli_trace_orthogonality(n):
     assert np.abs(G - 2**n * np.eye(4**n)).max() < 1e-12
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_pauli_basis_is_bytewise_the_kron_of_each_label(n):
+    want = np.stack([qmat.kron([qmat.PAULI_1Q[c] for c in label])
+                     for label in qmat.pauli_labels(n)])
+    got = qmat.pauli_basis(n)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert not got.flags.writeable
+
+
 def test_pauli_basis_range_checked():
     with pytest.raises(ValueError):
         qmat.pauli_basis(0)
@@ -148,6 +158,28 @@ def test_apply_matches_embedded_product(rng, n):
             assert got.shape == M.shape
             assert np.abs(got - want).max() < 1e-12, (n, qubits, m)
             assert np.array_equal(M, M_before)
+
+
+def apply_by_tensordot(op, qubits, M, n):
+    """The contraction as a tensordot over the qubit axes, then a moveaxis back."""
+    k = len(qubits)
+    out = np.tensordot(np.asarray(op).reshape((2,) * (2 * k)), M.reshape((2,) * n + (-1,)),
+                       axes=(range(k, 2 * k), qubits))
+    return np.moveaxis(out, range(k), qubits).reshape(M.shape)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 8])
+def test_apply_is_bitwise_the_tensordot_contraction(rng, n):
+    for qubits in _qubit_tuples(rng, n) + [tuple(range(min(n, 4)))]:
+        d = 2 ** len(qubits)
+        for op in (rng.standard_normal((d, d)), random_unitary(rng, d)):
+            for shape in ((2**n,), (2**n, 1), (2**n, 3), (2**n, 2**n)):
+                for M in (rng.standard_normal(shape),
+                          rng.standard_normal(shape) + 1j * rng.standard_normal(shape)):
+                    got, want = qmat.apply(op, qubits, M, n), apply_by_tensordot(op, qubits, M, n)
+                    assert got.shape == want.shape and got.dtype == want.dtype
+                    assert got.tobytes() == want.tobytes(), (n, qubits, shape)
+                    assert not np.shares_memory(got, M)
 
 
 def test_apply_accepts_a_vector_and_real_operands(rng):
