@@ -13,8 +13,8 @@ one config write different CSVs stops the script. With
 ``--pairs N``, every workload of ``perfbench/run.py`` also runs N times per
 checkout for ``BENCHMARK.json``'s ``run_seconds``, in pairs whose first run
 alternates between baseline and change, and its end-to-end medians and
-quartiles are recorded. The output JSON also records the host (core count, CPU, numpy
-and BLAS versions, and the BLAS thread count), each checkout's
+quartiles are recorded. The output JSON also records the host (core count,
+CPU, numpy and BLAS versions, and the BLAS thread count), each checkout's
 ``src/hinv`` line count, as ``wc -l`` gives it, and one run of each
 checkout's Tier-1 suite (``python -m pytest -q`` in a fresh process with
 one BLAS thread and that checkout's ``src`` on ``PYTHONPATH``): its wall
