@@ -15,10 +15,11 @@ checkout for ``BENCHMARK.json``'s ``run_seconds``, in pairs whose first run
 alternates between baseline and change, and its end-to-end medians and
 quartiles are recorded. The output JSON also records the host (core count,
 CPU, numpy and BLAS versions, and the BLAS thread count), each checkout's
-``src/hinv`` line count, as ``wc -l`` gives it, and one run of each
-checkout's Tier-1 suite (``python -m pytest -q`` in a fresh process with
-one BLAS thread and that checkout's ``src`` on ``PYTHONPATH``): its wall
-time and its passed and failed counts, errors counted as failed.
+``src/hinv`` line count, as ``wc -l`` gives it, in total and per module,
+and one run of each checkout's Tier-1 suite (``python -m pytest -q`` in a
+fresh process with one BLAS thread and that checkout's ``src`` on
+``PYTHONPATH``): its wall time and its passed and failed counts, errors
+counted as failed.
 """
 
 from __future__ import annotations
@@ -57,15 +58,15 @@ def host() -> dict:
             "blas_threads": blas_threads()}
 
 
-def src_lines(root: str) -> int:
-    """Lines of ``root``'s ``src/hinv/*.py``, counted as ``wc -l`` counts them."""
+def module_lines(root: str) -> dict:
+    """Lines of each of ``root``'s ``src/hinv/*.py``, counted as ``wc -l`` counts them."""
     pkg = os.path.join(root, "src", "hinv")
-    total = 0
+    lines = {}
     for name in sorted(os.listdir(pkg)):
         if name.endswith(".py"):
             with open(os.path.join(pkg, name), "rb") as fh:
-                total += fh.read().count(b"\n")
-    return total
+                lines[name] = fh.read().count(b"\n")
+    return lines
 
 
 def tier1(root: str) -> dict:
@@ -178,9 +179,11 @@ def main() -> int:
     roots = {"change": ROOT}
     if args.baseline:
         roots = {"baseline": os.path.abspath(args.baseline), **roots}
+    lines = {label: module_lines(root) for label, root in roots.items()}
     report = {"host": host(),
               "source_sha256": {label: source_sha256(root) for label, root in roots.items()},
-              "src_lines": {label: src_lines(root) for label, root in roots.items()},
+              "src_module_lines": lines,
+              "src_lines": {label: sum(per.values()) for label, per in lines.items()},
               "tier1": {label: tier1(root) for label, root in roots.items()},
               "configs": run_configs(roots)}
     if args.pairs:

@@ -1,13 +1,10 @@
 """Circuit IR, parity-controlled-rotation builders, and exact execution.
 
-Two execution pipelines are provided and must agree:
-
-- :func:`unitary_of` / :func:`run_density` evolve states exactly, applying
-  realized gate unitaries and attached stochastic channels (as Pauli
-  transfer matrices) to a density matrix;
-- :func:`run_ptm` converts every step to a PTM and applies it to the
-  state's Pauli vector, which is how long circuits with pre-characterized
-  gates are simulated cheaply.
+Two simulators, each its own loop, must agree: :func:`run_density` steps
+the density matrix through the realized gate unitaries, and :func:`run_ptm`
+steps the Pauli vector through each gate's PTM, which is how long circuits
+with pre-characterized gates are simulated cheaply.  Both apply attached
+stochastic channels as Pauli transfer matrices.
 
 :func:`ladder_overlap` takes the arguments of :func:`parity_controlled_z`
 and contracts that realized ladder against ``exp(-i theta/2 Z^(x)n)`` in
@@ -146,46 +143,41 @@ def run_density(c: Circuit, nm: NoiseModel = IDEAL, channel_map=None) -> np.ndar
 
     ``channel_map`` maps a gate index to a PTM applied right after that
     gate (how stochastic channels are attached to gates).  Raises
-    ``ValueError`` on non-CPTP channels or dimension mismatch.
-    """
-    return _run(c, nm, channel_map, pauli=False)
-
-
-def run_ptm(c: Circuit, nm: NoiseModel = IDEAL, channel_map=None) -> np.ndarray:
-    """Same output as :func:`run_density`, with every step applied as a PTM."""
-    return _run(c, nm, channel_map, pauli=True)
-
-
-def _run(c: Circuit, nm: NoiseModel, channel_map, pauli: bool) -> np.ndarray:
-    """The stepper behind :func:`run_density` and :func:`run_ptm`.
-
-    Both states are vectors on a 2n-bit register.  The density matrix is
-    flattened row-major: bits 0..n-1 index its rows and bits n..2n-1 its
-    columns, so a gate U acts as U on the row bits and conj(U) on the
-    column bits.  The Pauli vector ``Tr[P_i rho]`` is in lexicographic
-    order, so qubit q's Pauli digit is bits (2q, 2q+1) and a gate acts as
-    the PTM of its local unitary on those bits.
+    ``ValueError`` on non-CPTP channels or dimension mismatch.  The density
+    matrix is a row-major vector on 2n bits: bits 0..n-1 index its rows and
+    bits n..2n-1 its columns, so a gate U acts as U on the row bits and
+    conj(U) on the column bits.
     """
     channel_map = _checked_channels(c, channel_map)
     n, dim = c.n, 2**c.n
-    rho = np.zeros((dim, dim), dtype=complex)
-    rho[0, 0] = 1.0
-    state = channels.pauli_vector(rho, n) if pauli else rho.reshape(-1)
+    state = np.eye(1, dim * dim, dtype=complex)[0]   # |0..0><0..0|
     for i, g in enumerate(c.gates):
-        if pauli:
-            bits = tuple(b for q in g.qubits for b in (2 * q, 2 * q + 1))
-            state = qmat.apply(_gate_ptm(g, nm), bits, state, 2 * n)
-        else:
-            U = gates.realize(g, nm)
-            state = qmat.apply(U, g.qubits, state, 2 * n)
-            state = qmat.apply(U.conj(), tuple(n + q for q in g.qubits), state, 2 * n)
+        U = gates.realize(g, nm)
+        state = qmat.apply(U, g.qubits, state, 2 * n)
+        state = qmat.apply(U.conj(), tuple(n + q for q in g.qubits), state, 2 * n)
         if i in channel_map:
-            R = channel_map[i]
-            if pauli:
-                state = R.mat @ state
-            else:
-                state = channels.apply_ptm(R, state.reshape(dim, dim)).reshape(-1)
-    rho = channels.matrix_from_pauli_vector(state, n) if pauli else state.reshape(dim, dim)
+            state = channels.apply_ptm(channel_map[i], state.reshape(dim, dim)).reshape(-1)
+    return _probabilities(state.reshape(dim, dim))
+
+
+def run_ptm(c: Circuit, nm: NoiseModel = IDEAL, channel_map=None) -> np.ndarray:
+    """Same output as :func:`run_density`, stepping the Pauli vector ``Tr[P_i rho]``.
+
+    In lexicographic order qubit q's Pauli digit is bits (2q, 2q+1), so a
+    gate acts as the PTM of its realized unitary on those bits.
+    """
+    channel_map = _checked_channels(c, channel_map)
+    state = channels.pauli_vector(np.eye(1, 4**c.n).reshape(2**c.n, -1), c.n)
+    for i, g in enumerate(c.gates):
+        bits = tuple(b for q in g.qubits for b in (2 * q, 2 * q + 1))
+        state = qmat.apply(_gate_ptm(g, nm), bits, state, 2 * c.n)
+        if i in channel_map:
+            state = channel_map[i].mat @ state
+    return _probabilities(channels.matrix_from_pauli_vector(state, c.n))
+
+
+def _probabilities(rho: np.ndarray) -> np.ndarray:
+    """The diagonal of ``rho``, refused if its sum has drifted from 1."""
     probs = np.real(np.diag(rho)).copy()
     total = probs.sum()
     if abs(total - 1.0) > 1e-9:

@@ -309,7 +309,7 @@ BAD_INPUTS = {
     "sk1_steps_per_period_key": ("sweep", {"experiment": "sk1_viability", "steps_per_period": 150},
                                  "unknown key(s) ['steps_per_period']"),
     "sk1_gamma_negative": ("sweep", {"experiment": "sk1_viability", "gamma_list": [-1.0]},
-                           "bad sk1_viability config: gamma_heat and mode_nbar must be >= 0"),
+                           "bad sk1_viability config: gamma_heat must be >= 0, got -1.0"),
     "gamma_heat_1e12": ("ptm", {"calibrate": {"n_fock": 4, "gamma_heat": 1e12}},
                         "5.5e+08 series applications per mode round exceed the limit "
                         "60000"),

@@ -173,16 +173,25 @@ def test_spec_json_round_trip(tmp_path):
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        Segment(-1.0, DELTA)
+    for bad in (-1.0, 0.0):
+        with pytest.raises(ValueError, match=f"^duration must be > 0, got {bad!r}$"):
+            Segment(bad, DELTA)
     with pytest.raises(ValueError):
         lindblad.xx_gate_spec(n_fock=1)
     with pytest.raises(ValueError):
         LindbladSpec(omega_r=(0, 0), omega_b=(0, 0), phi_r=(0, 0), phi_b=(0, 0),
                      modes=(), segments=(Segment(1e-5, DELTA),))
-    for bad in ({"tau_m": math.nan}, {"tau_l": math.nan}, {"tau_m": 0.0}):
-        with pytest.raises(ValueError, match="coherence times positive"):
-            lindblad.xx_gate_spec(**bad)
+    # one refusal per field, naming it and its value
+    for key, bad, message in [("tau_m", math.nan, "tau_m must be > 0, got nan"),
+                              ("tau_l", math.nan, "tau_l must be > 0, got nan"),
+                              ("tau_m", 0.0, "tau_m must be > 0, got 0.0"),
+                              ("tau_l", -1.0, "tau_l must be > 0, got -1.0"),
+                              ("gamma_heat", -1e-9, "gamma_heat must be >= 0, got -1e-09"),
+                              ("mode_nbar", -0.5, "mode_nbar must be >= 0, got -0.5")]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            lindblad.xx_gate_spec(**{key: bad})
+    for key in ("gamma_heat", "mode_nbar"):   # the bound itself is allowed
+        lindblad.xx_gate_spec(n_fock=3, **{key: 0.0})
     for key, bad in [("loops", True), ("loops", -1), ("delta", math.nan),
                      ("delta", -DELTA), ("spin_phases", (0.0, 0.0, 0.0))]:
         with pytest.raises(ValueError, match=key):
@@ -365,13 +374,6 @@ def test_drive_that_breaks_parity_is_refused(monkeypatch):
     monkeypatch.setattr(lindblad, "_drive_ops", with_carrier)
     with pytest.raises(ValueError, match="Pi = Z1 Z2"):
         lindblad.xx_gate_spec(delta=DELTA, n_fock=3)
-
-
-def test_step_count_is_bounded():
-    spec = lindblad.xx_gate_spec(delta=DELTA, n_fock=3)   # one loop: steps = steps per period
-    assert lindblad._n_steps(spec, lindblad.MAX_STEPS) == lindblad.MAX_STEPS == 100_000
-    with pytest.raises(ValueError, match="100001 RK4 steps per mode round exceed"):
-        lindblad._n_steps(spec, lindblad.MAX_STEPS + 1)
 
 
 def test_step_count_must_be_positive():
