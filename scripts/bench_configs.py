@@ -9,7 +9,9 @@ if given) runs every file of this checkout's ``configs/`` that it has
 The checkouts take turns per config in pairs whose first run alternates.
 Each run records ``{wall_s, rc, csv_sha256}``, and each config its runs
 and the median and quartiles of their ``wall_s``; a checkout whose runs of
-one config write different CSVs stops the script. With
+one config write different CSVs stops the script. With ``--baseline``,
+``csv_identical`` records, per config both checkouts ran, whether their CSV
+sha256s are equal. With
 ``--pairs N``, every workload of ``perfbench/run.py`` also runs N times per
 checkout for ``BENCHMARK.json``'s ``run_seconds``, in pairs whose first run
 alternates between baseline and change, and its end-to-end medians and
@@ -186,6 +188,10 @@ def main() -> int:
               "src_lines": {label: sum(per.values()) for label, per in lines.items()},
               "tier1": {label: tier1(root) for label, root in roots.items()},
               "configs": run_configs(roots)}
+    if args.baseline:
+        base, change = report["configs"]["baseline"], report["configs"]["change"]
+        report["csv_identical"] = {name: run["csv_sha256"] == base[name]["csv_sha256"]
+                                   for name, run in change.items() if name in base}
     if args.pairs:
         with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
             seconds = json.load(fh)["run_seconds"]

@@ -132,9 +132,10 @@ def _ladder_trace(theta: float, gs, site_op) -> complex:
 
 def unitary_of(c: Circuit, nm: NoiseModel = IDEAL) -> np.ndarray:
     """Ordered product of the realized gates on the full register."""
-    dim = 2**c.n
-    if dim > MAX_DENSE_DIM:
-        raise ValueError(f"dense dimension {dim} exceeds {MAX_DENSE_DIM}")
+    # the widest n with 2**n <= MAX_DENSE_DIM, compared first: 2**n is slow for a huge n
+    width = MAX_DENSE_DIM.bit_length() - 1
+    if c.n > width:
+        raise ValueError(f"{c.n} qubits exceed the dense limit of {width} qubits")
     return gates.product(c.gates, c.n, nm)
 
 

@@ -67,7 +67,7 @@ from .channels import PTM, ptm_of_unitary
 
 DEFAULT_N_FOCK = 13
 MAX_SERIES_WORK = 60_000     # Chebyshev operator applications per mode round
-# the retired RK4 step rule's default: only perfbench/ reaches it and _n_steps
+# the retired RK4 step rule's default: only perfbench/ and a test of its existence read it
 DEFAULT_STEPS_PER_PERIOD = 400
 
 
@@ -77,16 +77,16 @@ class Segment:
     delta: float             # symmetric detuning during the segment, rad/s
 
     def __post_init__(self):
-        _numbers(self, "duration", "delta")
-        if not self.duration > 0:
-            raise ValueError(f"duration must be > 0, got {self.duration!r}")
+        _numbers(self, "duration", bound=">")
+        _numbers(self, "delta")
 
 
-def _number(name: str, value, per_ion=False, finite=True):
+def _number(name: str, value, per_ion=False, finite=True, bound=None):
     """``value`` checked as the pulse field ``name``: a number, or with ``per_ion``
     one number per ion, returned as a tuple of two.  A bool is not a number here:
     JSON ``true`` would pass as 1.  An int too large for a float is refused, and
-    unless ``finite`` is False, inf and nan are too.  Each refusal names the field."""
+    unless ``finite`` is False, inf and nan are too, and with ``bound`` ``">="`` or
+    ``">"`` a number not that to 0.  Each refusal names the field."""
     values = tuple(value) if per_ion and isinstance(value, (list, tuple)) else (value,)
     if per_ion and len(values) != 2:
         raise ValueError(f"{name} needs one value per ion, got {len(values)}")
@@ -95,6 +95,8 @@ def _number(name: str, value, per_ion=False, finite=True):
             raise ValueError(f"{name} must be a number, got {x!r}")
         if isinstance(x, int) and abs(x) > sys.float_info.max or finite and not math.isfinite(x):
             raise ValueError(f"{name} must be finite, got {x!r}")
+        if bound and not (x >= 0 if bound == ">=" else x > 0):   # nan is refused
+            raise ValueError(f"{name} must be {bound} 0, got {x!r}")
     return values if per_ion else value
 
 
@@ -131,8 +133,8 @@ class LindbladSpec:
 
     def __post_init__(self):
         _numbers(self, "omega_r", "omega_b", "phi_r", "phi_b", "stark", per_ion=True)
-        _numbers(self, "gamma_heat", "mode_nbar")
-        _numbers(self, "tau_m", "tau_l", finite=False)   # inf: no decoherence
+        _numbers(self, "gamma_heat", "mode_nbar", bound=">=")
+        _numbers(self, "tau_m", "tau_l", finite=False, bound=">")   # inf: no decoherence
         object.__setattr__(self, "modes", tuple(self.modes))
         object.__setattr__(self, "segments", tuple(self.segments))
         if not isinstance(self.n_fock, int) or self.n_fock < 2:
@@ -140,10 +142,6 @@ class LindbladSpec:
         _number("n_fock", self.n_fock)
         if not self.modes or not self.segments:
             raise ValueError("need at least one mode and one segment")
-        for name, bound in (("gamma_heat", ">="), ("mode_nbar", ">="), ("tau_m", ">"), ("tau_l", ">")):
-            value = getattr(self, name)
-            if not (value >= 0 if bound == ">=" else value > 0):
-                raise ValueError(f"{name} must be {bound} 0, got {value!r}")
         # built once, refusing a round over MAX_SERIES_WORK now; _evolve_batch reads them
         object.__setattr__(self, "_rounds", tuple(_frame_generator(self, j)
                                                   for j in range(len(self.modes))))
@@ -154,14 +152,14 @@ class LindbladSpec:
 
 
 def xx_gate_spec(theta: float = math.pi / 4, delta: float = 2 * math.pi * 20e3,
-                 loops: int = 1, eta: float = 0.1, n_fock: int = DEFAULT_N_FOCK,
-                 amp_scale: float = 1.0, spin_phases: tuple[float, float] = (0.0, 0.0),
-                 tau_m: float = math.inf, gamma_heat: float = 0.0,
-                 tau_l: float = math.inf, mode_nbar: float = 0.0) -> LindbladSpec:
+                 loops: int = 1, eta: float = 0.1, amp_scale: float = 1.0,
+                 spin_phases: tuple[float, float] = (0.0, 0.0), **channels) -> LindbladSpec:
     """Calibrated single-mode spec realizing ``exp(-i theta sigma_psi1 sigma_psi2)``.
 
     ``amp_scale`` multiplies both tone amplitudes on both ions (an
     amplitude miscalibration; the gate angle scales quadratically with it).
+    ``channels`` are the spec's other fields, ``tau_m``, ``gamma_heat``, ``tau_l``,
+    ``n_fock`` and ``mode_nbar``; a field the calibration sets is refused.
     """
     for key, value in dict(theta=theta, delta=delta, eta=eta, amp_scale=amp_scale).items():
         number = isinstance(value, (int, float)) and not isinstance(value, bool)  # JSON true is 1
@@ -177,10 +175,7 @@ def xx_gate_spec(theta: float = math.pi / 4, delta: float = 2 * math.pi * 20e3,
     return LindbladSpec(
         omega_r=(omega, omega), omega_b=(omega, omega), phi_r=phases, phi_b=phases,
         modes=(ModeSpec(eta=(eta, eta)),),
-        segments=(Segment(T, delta),),
-        tau_m=tau_m, gamma_heat=gamma_heat, tau_l=tau_l,
-        n_fock=n_fock, mode_nbar=mode_nbar,
-    )
+        segments=(Segment(T, delta),), stark=(0.0, 0.0), **channels)
 
 
 def sk1_pulse_specs(theta: float = math.pi / 4, **kw) -> list[LindbladSpec]:

@@ -1,4 +1,5 @@
 import re
+import time
 
 import numpy as np
 import pytest
@@ -112,6 +113,14 @@ def test_unitary_of_hidden_inverse_cancellation():
     U = circuit.unitary_of(c, NoiseModel(eps_2q=0.02))
     fe = abs(np.trace(U)) ** 2 / 16
     assert abs(fe - 1.0) < 1e-10
+
+
+def test_unitary_of_refuses_a_register_past_the_dense_limit():
+    for n in (11, 10 ** 9):
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match=f"^{n} qubits exceed the dense limit of 10 qubits$"):
+            circuit.unitary_of(circuit.Circuit(n))
+        assert time.perf_counter() - t0 < 1.0   # checked before 2**n is built
 
 
 def test_unitary_of_matches_manual_product(rng):

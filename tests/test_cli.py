@@ -346,6 +346,11 @@ BAD_INPUTS = {
     "segments_object": ("ptm", {**FULL_SPEC, "segments": {"duration": 1e-4, "delta": 1e5}},
                         "segments must be a list of objects, got {"),
     "calibrate_list": ("ptm", {"calibrate": [1, 2]}, "calibrate must be an object, got [1, 2]"),
+    # calibrate takes the channel fields, but no field that the calibration sets
+    "calibrate_stark": ("ptm", {"calibrate": {"n_fock": 3, "stark": [1000.0, 0.0]}},
+                        "multiple values for keyword argument 'stark'"),
+    "calibrate_omega_r": ("ptm", {"calibrate": {"n_fock": 3, "omega_r": [1.0, 1.0]}},
+                          "multiple values for keyword argument 'omega_r'"),
     # a non-finite pulse field names itself
     "spin_phases_nan": ("ptm", {"calibrate": {"n_fock": 3, "spin_phases": [math.nan, 0]}},
                         "spin_phases must be finite, got nan"),
@@ -369,6 +374,11 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, cmd, content, f
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert fragment in err[0]
+
+
+def test_calibrate_forwards_the_channel_fields():
+    spec = lindblad.spec_from_dict({"calibrate": {"n_fock": 3, "mode_nbar": 0.5}})
+    assert (spec.n_fock, spec.mode_nbar) == (3, 0.5)
 
 
 def test_work_over_the_limit_exits_2_within_a_second(tmp_path, capsys):
