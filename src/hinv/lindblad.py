@@ -85,8 +85,8 @@ def _number(name: str, value, per_ion=False, finite=True, bound=None):
     """``value`` checked as the pulse field ``name``: a number, or with ``per_ion``
     one number per ion, returned as a tuple of two.  A bool is not a number here:
     JSON ``true`` would pass as 1.  An int too large for a float is refused, and
-    unless ``finite`` is False, inf and nan are too, and with ``bound`` ``">="`` or
-    ``">"`` a number not that to 0.  Each refusal names the field."""
+    unless ``finite`` is False, inf and nan are too.  With ``bound`` ``">="`` or ``">"``,
+    a number not so to 0 is refused, nan included.  Each refusal names the field."""
     values = tuple(value) if per_ion and isinstance(value, (list, tuple)) else (value,)
     if per_ion and len(values) != 2:
         raise ValueError(f"{name} needs one value per ion, got {len(values)}")
@@ -95,7 +95,7 @@ def _number(name: str, value, per_ion=False, finite=True, bound=None):
             raise ValueError(f"{name} must be a number, got {x!r}")
         if isinstance(x, int) and abs(x) > sys.float_info.max or finite and not math.isfinite(x):
             raise ValueError(f"{name} must be finite, got {x!r}")
-        if bound and not (x >= 0 if bound == ">=" else x > 0):   # nan is refused
+        if bound and not (x >= 0 if bound == ">=" else x > 0):
             raise ValueError(f"{name} must be {bound} 0, got {x!r}")
     return values if per_ion else value
 
