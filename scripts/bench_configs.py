@@ -15,7 +15,13 @@ sha256s are equal. With
 ``--pairs N``, every workload of ``perfbench/run.py`` also runs N times per
 checkout for ``BENCHMARK.json``'s ``run_seconds``, in pairs whose first run
 alternates between baseline and change, and its end-to-end medians and
-quartiles are recorded. The output JSON also records the host (core count,
+quartiles are recorded. With both, ``perfbench.verdict`` records, per
+workload and per ``end_to_end`` metric of ``BENCHMARK.json``, the
+change/baseline median ratio, the pairs the change won and lost by the
+metric's ``better`` (ties count for neither), the baseline's interquartile
+spread, and ``within_bound``: whether the change's median is worse than the
+baseline's by no more than the metric's relative ``bound``; and the failed
+item count of each side. The output JSON also records the host (core count,
 CPU, numpy and BLAS versions, and the BLAS thread count), each checkout's
 ``src/hinv`` line count, as ``wc -l`` gives it, in total and per module,
 and one run of each checkout's Tier-1 suite (``python -m pytest -q`` in a
@@ -171,6 +177,26 @@ def perfbench_pairs(roots: dict, pairs: int, seconds: float) -> dict:
     return out
 
 
+def verdict(workloads: dict, end_to_end: list) -> dict:
+    """``{workload: {metric: {ratio, won, lost, baseline_iqr, within_bound}, failed}}``
+    of ``perfbench_pairs``'s output against the ``end_to_end`` list of ``BENCHMARK.json``."""
+    out = {}
+    for w, sides in workloads.items():
+        base, change = sides["baseline"], sides["change"]
+        out[w] = {"failed": {label: sum(r["failed"] for r in side["runs"])
+                             for label, side in sides.items()}}
+        for m in end_to_end:
+            name, sign = m["name"], 1 if m["better"] == "higher" else -1
+            b, c = base["median"][name], change["median"][name]
+            gains = [sign * (rc[name] - rb[name]) for rb, rc in zip(base["runs"], change["runs"])]
+            q1, q3 = base["quartiles"][name]
+            out[w][name] = {"ratio": c / b, "won": sum(g > 0 for g in gains),
+                            "lost": sum(g < 0 for g in gains), "baseline_iqr": q3 - q1,
+                            "within_bound": sign * (c - b) >= -m["bound"] * abs(b)}
+            print(f"{w} {name}: {out[w][name]}", file=sys.stderr)
+    return out
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("-o", "--output", required=True)
@@ -194,9 +220,12 @@ def main() -> int:
                                    for name, run in change.items() if name in base}
     if args.pairs:
         with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
-            seconds = json.load(fh)["run_seconds"]
-        report["perfbench"] = {"pairs": args.pairs, "seconds": seconds,
-                               "workloads": perfbench_pairs(roots, args.pairs, seconds)}
+            bench = json.load(fh)
+        seconds = bench["run_seconds"]
+        workloads = perfbench_pairs(roots, args.pairs, seconds)
+        report["perfbench"] = {"pairs": args.pairs, "seconds": seconds, "workloads": workloads}
+        if args.baseline:
+            report["perfbench"]["verdict"] = verdict(workloads, bench["end_to_end"])
     with open(args.output, "w") as fh:
         json.dump(report, fh, indent=1, sort_keys=True)
         fh.write("\n")

@@ -39,8 +39,8 @@ from .gates import IDEAL, INVERSE, STANDARD, Gate, NoiseModel
 
 HIDDEN_INVERSE = "hidden"
 
-# largest 2**n for which unitary_of builds a dense operator; the n <= 10 cap
-# on sweeps (cli._MAX_WIDTH) is a schema rule, not this cost limit
+# largest 2**n for which unitary_of and run_density build a dense operator;
+# the n <= 10 cap on sweeps (cli._MAX_WIDTH) is a schema rule, not this cost limit
 MAX_DENSE_DIM = 1024
 
 
@@ -132,11 +132,15 @@ def _ladder_trace(theta: float, gs, site_op) -> complex:
 
 def unitary_of(c: Circuit, nm: NoiseModel = IDEAL) -> np.ndarray:
     """Ordered product of the realized gates on the full register."""
-    # the widest n with 2**n <= MAX_DENSE_DIM, compared first: 2**n is slow for a huge n
-    width = MAX_DENSE_DIM.bit_length() - 1
-    if c.n > width:
-        raise ValueError(f"{c.n} qubits exceed the dense limit of {width} qubits")
+    _check_width(c)
     return gates.product(c.gates, c.n, nm)
+
+
+def _check_width(c: Circuit, width: int = MAX_DENSE_DIM.bit_length() - 1,
+                 what: str = "dense") -> None:
+    """Refuse a register past ``width`` qubits before ``2**c.n``, slow for a huge n, is built."""
+    if c.n > width:
+        raise ValueError(f"{c.n} qubits exceed the {what} limit of {width} qubits")
 
 
 def run_density(c: Circuit, nm: NoiseModel = IDEAL, channel_map=None) -> np.ndarray:
@@ -149,6 +153,7 @@ def run_density(c: Circuit, nm: NoiseModel = IDEAL, channel_map=None) -> np.ndar
     bits n..2n-1 its columns, so a gate U acts as U on the row bits and
     conj(U) on the column bits.
     """
+    _check_width(c)
     channel_map = _checked_channels(c, channel_map)
     n, dim = c.n, 2**c.n
     state = np.eye(1, dim * dim, dtype=complex)[0]   # |0..0><0..0|
@@ -167,6 +172,7 @@ def run_ptm(c: Circuit, nm: NoiseModel = IDEAL, channel_map=None) -> np.ndarray:
     In lexicographic order qubit q's Pauli digit is bits (2q, 2q+1), so a
     gate acts as the PTM of its realized unitary on those bits.
     """
+    _check_width(c, qmat.MAX_PAULI_QUBITS, "Pauli-vector")
     channel_map = _checked_channels(c, channel_map)
     state = channels.pauli_vector(np.eye(1, 4**c.n).reshape(2**c.n, -1), c.n)
     for i, g in enumerate(c.gates):

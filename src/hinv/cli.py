@@ -150,7 +150,7 @@ def _contrast_row(theta, n, nm, depol):
 
 def _sk1_row(eps_amp, gamma, specs):
     """Raw and SK1-corrected fidelity of the evolved pulses ``specs``."""
-    ideal = channels.ptm_of_unitary(gates.xx_unitary(math.pi / 4))
+    ideal = channels.ptm_of_unitary(gates.realize(gates.xx(0, 1, math.pi / 4)))
     # the SK1 target pulse is the raw gate; both loops follow from the (0, 0) loop
     raw, loop = [lindblad.ms_gate_channel(s) for s in specs]
     phi1 = gates.sk1_phase(math.pi / 2)

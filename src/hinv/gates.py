@@ -21,9 +21,12 @@ Gate kinds
   layers at zero cost).
 
 Each fact about a kind is stated once, here: its shape (``_SHAPES``), its
-builder (:data:`BUILDERS`, through which ``circuit.from_text`` parses), and
-for a composite its native sequence (:func:`native_sequence`, which both
-:func:`realize` and ``compiler.flatten_composites`` expand).
+builder (:data:`BUILDERS`, through which ``circuit.from_text`` parses), its
+unitary (:func:`realize`, the one place a gate unitary is built; a gate
+sequence on a register is :func:`product` of those), and for a composite its
+native sequence (:func:`native_sequence`, which holds the CNOT's standard and
+reversed-negated sequences, and which both :func:`realize` and
+``compiler.flatten_composites`` expand).
 
 Noise model
 -----------
@@ -62,6 +65,8 @@ _SHAPES = {"rot1q": (1, 2), "virtual_z": (1, 1), "xx": (2, 3), "hadamard": (1, 0
 TWO_QUBIT_KINDS = tuple(k for k, (nq, _) in _SHAPES.items() if nq == 2)
 
 SK1_MAX_SPIN_ANGLE = 4 * math.pi
+
+_DRIFT_2Q = np.kron(Z, I2) + np.kron(I2, Z)   # built once: an np.kron call costs ~15 us
 
 
 def wrap_two_pi(theta: float) -> float:
@@ -179,41 +184,18 @@ def _axis(phi: float) -> np.ndarray:
     return math.cos(phi) * X + math.sin(phi) * Y
 
 
-def virtual_z_unitary(theta: float) -> np.ndarray:
-    return np.diag([np.exp(-0.5j * theta), np.exp(0.5j * theta)])
-
-
-def xx_unitary(theta: float, phase_a: float = 0.0, phase_b: float = 0.0) -> np.ndarray:
-    """Noiseless ``exp(-i theta sigma_a (x) sigma_b)``, axes at the per-ion drive phases."""
-    G = np.kron(_axis(phase_a), _axis(phase_b))
-    c, s = math.cos(theta), math.sin(theta)
-    return c * np.eye(4, dtype=complex) - 1j * s * G
-
-
-def cnot_sequence(orientation: str = STANDARD) -> list[Gate]:
-    """Native 5-gate CNOT decomposition on local qubits (0=control, 1=target).
-
-    The inverse orientation is the reversed sequence with every angle
-    negated, matching a 180-degree shift of the drive phases.
-    """
-    seq = [
-        rot1q(0, math.pi / 2, math.pi / 2),
-        xx(0, 1, math.pi / 4),
-        rot1q(0, -math.pi / 2, 0.0),
-        rot1q(1, -math.pi / 2, 0.0),
-        rot1q(0, -math.pi / 2, math.pi / 2),
-    ]
-    if orientation == STANDARD:
-        return seq
-    if orientation == INVERSE:
-        return [_negated(g) for g in reversed(seq)]
-    raise ValueError(f"bad orientation {orientation!r}")
-
-
 def native_sequence(g: Gate) -> list[Gate] | None:
-    """The native gates of composite ``g`` on its local qubits, or None for a native gate."""
+    """The native gates of composite ``g`` on its local qubits, or None for a native gate.
+
+    A CNOT's standard sequence is the fixed 5-gate decomposition (local qubit
+    0 the control, 1 the target); its inverse is that sequence reversed with
+    every angle negated, matching a 180-degree shift of the drive phases.
+    """
     if g.kind == "cnot":
-        return cnot_sequence(g.orientation)
+        seq = [rot1q(0, math.pi / 2, math.pi / 2), xx(0, 1, math.pi / 4),
+               rot1q(0, -math.pi / 2, 0.0), rot1q(1, -math.pi / 2, 0.0),
+               rot1q(0, -math.pi / 2, math.pi / 2)]
+        return seq if g.orientation == STANDARD else [_negated(h) for h in reversed(seq)]
     if g.kind == "hadamard":   # virtual Z(pi), then the driven R(pi/2, pi/2)
         return [virtual_z(0, math.pi), rot1q(0, math.pi / 2, math.pi / 2)]
     return None
@@ -248,13 +230,12 @@ def _realized(g: Gate, nm: NoiseModel) -> np.ndarray:
         G = theta * (1 + nm.eps_1q) * _axis(phi) + nm.delta_detune * abs(theta) * Z
         return qmat.herm_exp(G, 0.5)
     if k == "virtual_z":
-        return virtual_z_unitary(g.params[0])
+        return np.diag([np.exp(-0.5j * g.params[0]), np.exp(0.5j * g.params[0])])
     if k in _PAULI_KINDS:
         return _PAULI_KINDS[k]
     theta, pa, pb = g.params   # xx: Gate admits no other kind
-    G = theta * (1 + nm.eps_2q) * np.kron(_axis(pa + nm.phi_diff), _axis(pb + nm.phi_diff))
-    if nm.delta_detune:
-        G = G + nm.delta_detune * abs(theta) / 2 * (np.kron(Z, I2) + np.kron(I2, Z))
+    G = (theta * (1 + nm.eps_2q) * np.kron(_axis(pa + nm.phi_diff), _axis(pb + nm.phi_diff))
+         + nm.delta_detune * abs(theta) / 2 * _DRIFT_2Q)
     return qmat.herm_exp(G, 1.0)
 
 

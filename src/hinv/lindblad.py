@@ -195,7 +195,7 @@ def sk1_loop(loop: PTM, phase: float) -> PTM:
     ``U = virtual_z(phase) (x) I``, and every collapse operator commutes with
     U, so the channel is exactly ``V R V^T`` with ``V`` the PTM of U.
     """
-    V = ptm_of_unitary(np.kron(gates.virtual_z_unitary(phase), np.eye(2))).mat
+    V = ptm_of_unitary(gates.product([gates.virtual_z(0, phase)], 2, gates.IDEAL)).mat
     return PTM(2, V @ loop.mat @ V.T)
 
 

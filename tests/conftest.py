@@ -46,6 +46,19 @@ def rotation(theta, phi):
     return expi(math.cos(phi) * SX + math.sin(phi) * SY, theta / 2)
 
 
+def virtual_z_unitary(theta):
+    """exp(-i theta/2 Z), written out as its diagonal."""
+    return np.diag([np.exp(-0.5j * theta), np.exp(0.5j * theta)])
+
+
+def xx_unitary(theta, phase_a=0.0, phase_b=0.0):
+    """exp(-i theta sigma_a (x) sigma_b) in closed form, ``cos(theta) I - i sin(theta)
+    sigma_a (x) sigma_b`` (the product squares to I), each axis at its ion's drive phase."""
+    G = np.kron(math.cos(phase_a) * SX + math.sin(phase_a) * SY,
+                math.cos(phase_b) * SX + math.sin(phase_b) * SY)
+    return math.cos(theta) * np.eye(4, dtype=complex) - 1j * math.sin(theta) * G
+
+
 def parity_target(n, theta):
     """exp(-i theta/2 Z^(x)n); the diagonal of Z^(x)n is the Kronecker product
     of n copies of (1, -1)."""

@@ -30,7 +30,7 @@ from hinv.analytics import MINUS, PLUS
 from hinv.circuit import HIDDEN_INVERSE
 from hinv.gates import INVERSE, STANDARD, NoiseModel
 
-from conftest import binomial_phase_identity, dense_gate_channel, parity_target
+from conftest import binomial_phase_identity, dense_gate_channel, parity_target, xx_unitary
 
 THETA_GRID_25 = np.linspace(-np.pi, np.pi, 25)
 LINDBLAD_DELTA = 2 * np.pi * 200e3
@@ -298,7 +298,7 @@ def test_criterion_9_randomized_compiling_suite():
 
 def test_criterion_10_lindblad_suite():
     t0 = time.monotonic()
-    ideal = channels.ptm_of_unitary(gates.xx_unitary(np.pi / 4))
+    ideal = channels.ptm_of_unitary(xx_unitary(np.pi / 4))
 
     base = lindblad.xx_gate_spec(delta=LINDBLAD_DELTA)
     R = lindblad.ms_gate_channel(base)

@@ -3,12 +3,12 @@ import re
 import numpy as np
 import pytest
 
-from hinv import analytics, circuit, gates
+from hinv import analytics, circuit
 from hinv.analytics import MINUS, PLUS
 from hinv.gates import INVERSE, STANDARD, NoiseModel
 
 from conftest import (CNOT4, SZ, FidelityPoint, binomial_phase_identity, embed_on, expi,
-                      kron_chain, parity_target)
+                      kron_chain, parity_target, virtual_z_unitary)
 
 
 def ladder_fidelity(theta, eps, n, orientation):
@@ -33,7 +33,7 @@ def test_fe_traceless_pair():
 
 
 def test_fe_z_half_turn():
-    got = analytics.entanglement_fidelity(np.eye(2), gates.virtual_z_unitary(np.pi / 2))
+    got = analytics.entanglement_fidelity(np.eye(2), virtual_z_unitary(np.pi / 2))
     assert abs(got - 0.5) < 1e-14  # |cos(pi/4)|^2
 
 

@@ -3,11 +3,12 @@ import re
 import numpy as np
 import pytest
 
-from hinv import channels, gates, qmat
+from hinv import channels, qmat
 from hinv.channels import PTM
 
 from conftest import (SX, SZ, choi_by_definition, kron_chain, pauli_strings,
-                      ptm_by_definition, random_hermitian, random_unitary, rotation)
+                      ptm_by_definition, random_hermitian, random_unitary, rotation,
+                      virtual_z_unitary, xx_unitary)
 
 
 def superoperator_ptm(U):
@@ -28,12 +29,12 @@ def test_identity_ptm():
 
 
 def test_z_pi_ptm_flips_xy():
-    R = channels.ptm_of_unitary(gates.virtual_z_unitary(np.pi))
+    R = channels.ptm_of_unitary(virtual_z_unitary(np.pi))
     assert np.abs(R.mat - np.diag([1, -1, -1, 1])).max() < 1e-14
 
 
 def test_xx_ptm_orthogonal_and_matches_superoperator():
-    U = gates.xx_unitary(np.pi / 4)
+    U = xx_unitary(np.pi / 4)
     R = channels.ptm_of_unitary(U)
     assert R.mat.shape == (16, 16)
     assert np.abs(R.mat @ R.mat.T - np.eye(16)).max() < 1e-10
@@ -223,7 +224,7 @@ def test_apply_ptm_matches_conjugation(rng):
 
 
 def test_csv_round_trip(tmp_path):
-    R = channels.ptm_of_unitary(gates.xx_unitary(np.pi / 4, 0.05, 0.05))
+    R = channels.ptm_of_unitary(xx_unitary(np.pi / 4, 0.05, 0.05))
     path = tmp_path / "ms.csv"
     channels.write_csv(R, path)
     assert path.read_text().startswith("# ptm n=2 ")

@@ -123,6 +123,17 @@ def test_unitary_of_refuses_a_register_past_the_dense_limit():
         assert time.perf_counter() - t0 < 1.0   # checked before 2**n is built
 
 
+@pytest.mark.parametrize("simulate, width, limit", [(circuit.run_density, 10, "dense"),
+                                                     (circuit.run_ptm, 5, "Pauli-vector")])
+def test_run_density_and_run_ptm_refuse_a_register_past_their_limit(simulate, width, limit):
+    for n in (width + 1, 10 ** 9):
+        t0 = time.perf_counter()
+        message = f"^{n} qubits exceed the {limit} limit of {width} qubits$"
+        with pytest.raises(ValueError, match=message):
+            simulate(circuit.Circuit(n))
+        assert time.perf_counter() - t0 < 1.0   # checked before 2**n or 4**n is built
+
+
 def test_unitary_of_matches_manual_product(rng):
     gs = [gates.rot1q(0, 0.7, 0.2), gates.xx(0, 2, 0.5), gates.virtual_z(1, -0.9)]
     c = circuit.Circuit(3, gs)

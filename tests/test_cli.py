@@ -11,9 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hinv import channels, circuit, cli, compiler, gates, lindblad
+from hinv import channels, circuit, cli, compiler, lindblad
 
-from conftest import phase_overlap
+from conftest import phase_overlap, xx_unitary
 
 
 def run(argv):
@@ -153,7 +153,7 @@ def test_ptm_subcommand(tmp_path):
     out = tmp_path / "ptm.csv"
     assert run(["ptm", str(spec), str(out), "--steps-per-period", "120"]) == 0
     R = channels.PTM(2, np.loadtxt(out, delimiter=",", skiprows=2))
-    ideal = channels.ptm_of_unitary(gates.xx_unitary(np.pi / 4))
+    ideal = channels.ptm_of_unitary(xx_unitary(np.pi / 4))
     assert channels.avg_fidelity_from_ptm(R, ideal) > 1 - 1e-4
 
 
@@ -514,6 +514,23 @@ def test_names_the_benchmark_reaches_exist(monkeypatch):
         for fn in fns:
             assert hasattr(importlib.import_module(f"hinv.{mod}"), fn), f"hinv.{mod}.{fn}"
     assert callable(lindblad.spec_to_dict) and lindblad.DEFAULT_STEPS_PER_PERIOD >= 1
+
+
+# names that perfbench's batch.py, selftest.py and workloads.py call, beyond
+# those tracing.TRACED wraps
+BENCHMARK_CALLS = [
+    "lindblad._n_steps", "lindblad.spec_to_dict", "lindblad.spec_from_dict",
+    "lindblad.DEFAULT_STEPS_PER_PERIOD", "circuit.read_file", "circuit.repeated_block_circuit",
+    "circuit.channels_after_two_qubit", "circuit.HIDDEN_INVERSE", "channels.depolarizing_ptm",
+    "gates.amplitude_to_angle_overrotation", "gates.STANDARD", "gates.NoiseModel",
+    "analytics.PLUS", "analytics.MINUS", "analytics.closed_form_fe", "analytics.exact_ladder_fe",
+]
+
+
+@pytest.mark.parametrize("name", BENCHMARK_CALLS)
+def test_names_the_benchmark_scripts_call_exist(name):
+    mod, attr = name.split(".")
+    assert hasattr(importlib.import_module(f"hinv.{mod}"), attr), f"hinv.{name}"
 
 
 @pytest.mark.parametrize("seed", [3, 11])

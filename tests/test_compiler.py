@@ -8,7 +8,7 @@ from hinv.analytics import MINUS, PLUS
 from hinv.compiler import OrientationRule
 from hinv.gates import INVERSE, STANDARD, NoiseModel
 
-from conftest import noisy_circuits, parity_target, phase_overlap, rotation
+from conftest import noisy_circuits, parity_target, phase_overlap, rotation, xx_unitary
 
 
 # --- site detection -----------------------------------------------------------
@@ -176,7 +176,7 @@ def test_sk1_two_qubit_identity_and_duration():
     prod = np.eye(4, dtype=complex)
     for h in seq:
         prod = gates.realize(h) @ prod
-    assert phase_overlap(prod, gates.xx_unitary(np.pi / 4)) > 1 - 1e-10
+    assert phase_overlap(prod, xx_unitary(np.pi / 4)) > 1 - 1e-10
     # two additional pi-generator MS pulses
     assert [abs(h.params[0]) for h in seq[1:]] == [np.pi, np.pi]
 

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from hinv import circuit, compiler, gates, qmat
 from hinv.gates import INVERSE, STANDARD, Gate, NoiseModel
 
-from conftest import (CNOT4, HADAMARD, SX, SY, SZ, expi, kron_chain, phase_overlap,
-                      rotation)
+from conftest import (CNOT4, HADAMARD, I2, SX, SY, SZ, expi, kron_chain, phase_overlap,
+                      rotation, virtual_z_unitary, xx_unitary)
 
 
 def realize_product(seq, nm=gates.IDEAL):
@@ -50,22 +50,22 @@ def test_rot1q_pi_is_x_up_to_phase():
 
 def test_xx_quarter():
     want = (np.eye(4) - 1j * kron_chain(SX, SX)) / np.sqrt(2)
-    assert np.abs(gates.xx_unitary(np.pi / 4) - want).max() < 1e-15
+    assert np.abs(xx_unitary(np.pi / 4) - want).max() < 1e-15
 
 
 def test_xx_zero_angle_any_axis():
-    assert np.abs(gates.xx_unitary(0.0, 0.3, 0.3) - np.eye(4)).max() == 0
+    assert np.abs(xx_unitary(0.0, 0.3, 0.3) - np.eye(4)).max() == 0
 
 
 def test_xx_misaligned_axis_oracle():
     phi = np.deg2rad(3.5)
     ax = np.cos(phi) * SX + np.sin(phi) * SY
     want = expi(np.kron(ax, ax), np.pi / 4)
-    assert np.abs(gates.xx_unitary(np.pi / 4, phi, phi) - want).max() < 1e-13
+    assert np.abs(xx_unitary(np.pi / 4, phi, phi) - want).max() < 1e-13
 
 
 def test_xx_per_ion_phases():
-    got = gates.xx_unitary(0.7, phase_a=0.4, phase_b=-0.2)
+    got = xx_unitary(0.7, phase_a=0.4, phase_b=-0.2)
     axa = np.cos(0.4) * SX + np.sin(0.4) * SY
     axb = np.cos(-0.2) * SX + np.sin(-0.2) * SY
     assert np.abs(got - expi(np.kron(axa, axb), 0.7)).max() < 1e-13
@@ -75,24 +75,19 @@ def test_xx_per_ion_phases():
 
 def test_cnot_sequence_is_cnot():
     for orientation in (STANDARD, INVERSE):
-        prod = realize_product(gates.cnot_sequence(orientation))
+        prod = realize_product(gates.native_sequence(gates.cnot(0, 1, orientation)))
         assert abs(np.trace(CNOT4.conj().T @ prod)) / 4 > 1 - 1e-12
 
 
 def test_cnot_then_inverse_is_identity():
-    prod = realize_product(gates.cnot_sequence(STANDARD)
-                           + gates.cnot_sequence(INVERSE))
+    prod = realize_product(gates.native_sequence(gates.cnot(0, 1, STANDARD))
+                           + gates.native_sequence(gates.cnot(0, 1, INVERSE)))
     assert phase_overlap(np.eye(4), prod) > 1 - 1e-12
 
 
-def test_cnot_sequence_refuses_an_unknown_orientation():
-    with pytest.raises(ValueError, match="bad orientation 'sideways'"):
-        gates.cnot_sequence("sideways")
-
-
 def test_inverse_sequence_negates_and_reverses():
-    std = gates.cnot_sequence(STANDARD)
-    inv = gates.cnot_sequence(INVERSE)
+    std = gates.native_sequence(gates.cnot(0, 1, STANDARD))
+    inv = gates.native_sequence(gates.cnot(0, 1, INVERSE))
     assert [g.kind for g in inv] == [g.kind for g in reversed(std)]
     assert all(gi.params[0] == -gs.params[0]
                for gi, gs in zip(inv, reversed(std)))
@@ -106,14 +101,14 @@ def test_realize_zero_noise_exact():
         g = gates.rot1q(0, theta, phi)
         assert np.abs(gates.realize(g, nm) - rotation(theta, phi)).max() < 1e-13
     g = gates.xx(0, 1, np.pi / 4)
-    assert np.abs(gates.realize(g, nm) - gates.xx_unitary(np.pi / 4)).max() < 1e-13
+    assert np.abs(gates.realize(g, nm) - xx_unitary(np.pi / 4)).max() < 1e-13
 
 
 def test_realize_overrotated_xx():
     # two-qubit overrotation scales the interaction angle multiplicatively
     nm = NoiseModel(eps_2q=0.0225)
     got = gates.realize(gates.xx(0, 1, np.pi / 4), nm)
-    assert np.abs(got - gates.xx_unitary(1.0225 * np.pi / 4)).max() < 1e-13
+    assert np.abs(got - xx_unitary(1.0225 * np.pi / 4)).max() < 1e-13
 
 
 def test_realize_overrotated_rot1q():
@@ -125,7 +120,7 @@ def test_realize_overrotated_rot1q():
 def test_virtual_z_immune_to_noise():
     nm = NoiseModel(eps_1q=0.5, eps_2q=0.5, phi_diff=1.0, delta_detune=0.3)
     got = gates.realize(gates.virtual_z(0, 0.7), nm)
-    assert np.abs(got - gates.virtual_z_unitary(0.7)).max() == 0
+    assert np.abs(got - virtual_z_unitary(0.7)).max() == 0
 
 
 def test_hadamard_realization():
@@ -134,7 +129,7 @@ def test_hadamard_realization():
     # noise applies to the driven part only
     nm = NoiseModel(eps_1q=0.01)
     noisy = gates.realize(gates.hadamard(0), nm)
-    want = rotation(1.01 * np.pi / 2, np.pi / 2) @ gates.virtual_z_unitary(np.pi)
+    want = rotation(1.01 * np.pi / 2, np.pi / 2) @ virtual_z_unitary(np.pi)
     assert np.abs(noisy - want).max() < 1e-13
 
 
@@ -152,6 +147,23 @@ def test_detuning_breaks_inversion():
     A = gates.realize(gates.cnot(0, 1, STANDARD), nm)
     B = gates.realize(gates.cnot(0, 1, INVERSE), nm)
     assert abs(1 - abs(np.trace(A @ B)) / 4) > 1e-6
+
+
+@pytest.mark.parametrize("d", [0.0, 0.03])
+@pytest.mark.parametrize("theta", [0.7, -0.7])
+def test_detuning_drift_term_matches_its_oracle(theta, d):
+    # the drift is scaled by the pulse duration |theta|, so it does not flip with theta
+    nm = NoiseModel(eps_2q=0.02, eps_1q=0.01, phi_diff=0.05, delta_detune=d)
+
+    def axis(phi):
+        return math.cos(phi) * SX + math.sin(phi) * SY
+
+    drift = kron_chain(SZ, I2) + kron_chain(I2, SZ)
+    want = expi(theta * 1.02 * np.kron(axis(0.35), axis(-0.35)) + d * abs(theta) / 2 * drift)
+    got = gates.realize(gates.xx(0, 1, theta, 0.3, -0.4), nm)
+    assert np.abs(got - want).max() < 1e-14
+    want = expi(theta * 1.01 * axis(0.3) + d * abs(theta) * SZ, 0.5)
+    assert np.abs(gates.realize(gates.rot1q(0, theta, 0.3), nm) - want).max() < 1e-14
 
 
 def test_pauli_frame_gates_exact():
@@ -195,7 +207,8 @@ def test_realize_memo_runs_one_eigh_per_distinct_driven_pulse(monkeypatch):
     base = circuit.parity_controlled_z(2, 0.4)
     for seed in range(100):
         circuit.unitary_of(compiler.randomized_compile(base, seed), nm)
-    driven = {h for h in gates.cnot_sequence(STANDARD) if h.kind in ("rot1q", "xx")}
+    driven = {h for h in gates.native_sequence(gates.cnot(0, 1, STANDARD))
+              if h.kind in ("rot1q", "xx")}
     assert len(driven) == 5
     assert len(calls) == len(driven)
     assert gates.realize.cache_info().hits > 0
@@ -248,8 +261,9 @@ def test_noise_model_refuses_a_non_finite_knob(knob):
     (("xx", (0, 1), (0.5,)), "xx takes 2 qubit(s) and 3 angle(s), got 2 and 1"),
     (("rot1q", (0,), (1.0,)), "rot1q takes 1 qubit(s) and 2 angle(s), got 1 and 1"),
     (("rot1q", (0,), (1.0, 0.0), INVERSE), "bad orientation 'inverse' for rot1q"),
+    (("cnot", (0, 1), (), "sideways"), "bad orientation 'sideways' for cnot"),
 ], ids=["unknown_kind", "cnot_one_qubit", "xx_one_angle", "rot1q_one_angle",
-        "rot1q_inverse"])
+        "rot1q_inverse", "cnot_sideways"])
 def test_gate_rejects_what_it_cannot_realize_or_print(args, message):
     # each was accepted once, then failed in to_text, from_text or realize
     with pytest.raises(ValueError, match=re.escape(message)):

@@ -10,7 +10,7 @@ from hinv import channels, gates, lindblad, qmat
 from hinv.lindblad import LindbladSpec, ModeSpec, Segment
 
 from conftest import (I2, SX, dense_evolve, dense_gate_channel, evolve, frame_evolve,
-                      kron_chain)
+                      kron_chain, xx_unitary)
 
 
 DELTA = 2 * np.pi * 20e3
@@ -20,7 +20,7 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 def test_calibrated_gate_is_xx_quarter():
     spec = lindblad.xx_gate_spec(delta=DELTA)
     R = lindblad.ms_gate_channel(spec)
-    ideal = channels.ptm_of_unitary(gates.xx_unitary(np.pi / 4))
+    ideal = channels.ptm_of_unitary(xx_unitary(np.pi / 4))
     assert channels.avg_fidelity_from_ptm(R, ideal) > 1 - 1e-6
     assert np.abs(R.mat - ideal.mat).max() < 1e-4
 
@@ -29,7 +29,7 @@ def test_spin_phase_convention():
     # spin phases (pi/2, 0) rotate the first ion's axis to Y
     spec = lindblad.xx_gate_spec(delta=DELTA, spin_phases=(np.pi / 2, 0.0))
     R = lindblad.ms_gate_channel(spec)
-    ideal = channels.ptm_of_unitary(gates.xx_unitary(np.pi / 4, phase_a=np.pi / 2))
+    ideal = channels.ptm_of_unitary(xx_unitary(np.pi / 4, phase_a=np.pi / 2))
     assert channels.avg_fidelity_from_ptm(R, ideal) > 1 - 1e-6
 
 
@@ -56,7 +56,7 @@ def test_noiseless_evolution_matches_closed_system_propagator():
     psi[0] = 1.0  # |00, n=0>
     rho = np.outer(psi, psi.conj())
     out = evolve(rho, spec)
-    want = kron_chain(gates.xx_unitary(np.pi / 4), np.eye(nf)) @ psi
+    want = kron_chain(xx_unitary(np.pi / 4), np.eye(nf)) @ psi
     fid = float(np.real(want.conj() @ out @ want))
     assert fid > 1 - 1e-8
     assert abs(np.trace(out) - 1.0) < 1e-8
@@ -114,7 +114,7 @@ def test_motional_dephasing_damps_parity():
     # with motional dephasing on, the noiseless-limit fidelity degrades
     base = lindblad.xx_gate_spec(delta=DELTA)
     noisy = lindblad.xx_gate_spec(delta=DELTA, tau_m=2e-3)
-    ideal = channels.ptm_of_unitary(gates.xx_unitary(np.pi / 4))
+    ideal = channels.ptm_of_unitary(xx_unitary(np.pi / 4))
     f0 = channels.avg_fidelity_from_ptm(lindblad.ms_gate_channel(base), ideal)
     f1 = channels.avg_fidelity_from_ptm(lindblad.ms_gate_channel(noisy), ideal)
     assert f1 < f0 - 1e-4
@@ -134,7 +134,7 @@ def test_amplitude_scale_overrotates_quadratically():
     spec = lindblad.xx_gate_spec(delta=DELTA, amp_scale=1 + eps)
     R = lindblad.ms_gate_channel(spec)
     angle = np.pi / 4 * (1 + eps) ** 2
-    ideal = channels.ptm_of_unitary(gates.xx_unitary(angle))
+    ideal = channels.ptm_of_unitary(xx_unitary(angle))
     assert channels.avg_fidelity_from_ptm(R, ideal) > 1 - 1e-6
 
 
@@ -147,7 +147,7 @@ def test_multimode_sequential_evolution():
                                                        offset=2 * np.pi * 300e3)),
                         segments=base.segments, n_fock=7)
     R = lindblad.ms_gate_channel(spec)
-    ideal = channels.ptm_of_unitary(gates.xx_unitary(np.pi / 4))
+    ideal = channels.ptm_of_unitary(xx_unitary(np.pi / 4))
     assert channels.avg_fidelity_from_ptm(R, ideal) > 1 - 1e-4
 
 
