@@ -22,7 +22,8 @@ metric's ``better`` (ties count for neither), the baseline's interquartile
 spread, and ``within_bound``: whether the change's median is worse than the
 baseline's by no more than the metric's relative ``bound``; and the failed
 item count of each side. The output JSON also records the host (core count,
-CPU, numpy and BLAS versions, and the BLAS thread count), each checkout's
+CPU, numpy and BLAS versions, the BLAS thread count, and whether Python
+writes bytecode caches, ``sys.dont_write_bytecode``), each checkout's
 ``src/hinv`` line count, as ``wc -l`` gives it, in total and per module,
 and one run of each checkout's Tier-1 suite (``python -m pytest -q`` in a
 fresh process with one BLAS thread and that checkout's ``src`` on
@@ -63,7 +64,10 @@ def host() -> dict:
             "python": platform.python_version(), "numpy": np.__version__,
             "blas": f"{blas.get('name')} {blas.get('version')}",
             "OPENBLAS_NUM_THREADS": os.environ["OPENBLAS_NUM_THREADS"],
-            "blas_threads": blas_threads()}
+            "blas_threads": blas_threads(),
+            # every child inherits PYTHONDONTWRITEBYTECODE: when true, no run reads a
+            # bytecode cache, so perfbench's setup_s includes compiling src/hinv
+            "dont_write_bytecode": sys.dont_write_bytecode}
 
 
 def module_lines(root: str) -> dict:

@@ -10,7 +10,7 @@ closed-form fidelity expressions, and a pulse-level Lindblad model of the
 Molmer-Sorensen gate.
 """
 
-from . import analytics, channels, circuit, compiler, gates, lindblad, qmat
+from . import analytics, channels, circuit, compiler, gates, qmat
 from .channels import PTM
 from .circuit import Circuit
 from .gates import Gate, NoiseModel
@@ -21,3 +21,11 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    """Load ``lindblad``, the largest module, on first access (PEP 562)."""
+    if name == "lindblad":
+        import importlib
+        return importlib.import_module(".lindblad", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -21,14 +21,16 @@ when it has none.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
+import os
 import sys
 from contextlib import contextmanager
 
 import numpy as np
 
-from . import analytics, channels, circuit, compiler, gates, lindblad
+from . import analytics, channels, circuit, compiler, gates
 
 
 class ConfigError(ValueError):
@@ -150,13 +152,13 @@ def _contrast_row(theta, n, nm, depol):
 
 def _sk1_row(eps_amp, gamma, specs):
     """Raw and SK1-corrected fidelity of the evolved pulses ``specs``."""
+    from . import lindblad
     ideal = channels.ptm_of_unitary(gates.realize(gates.xx(0, 1, math.pi / 4)))
     # the SK1 target pulse is the raw gate; both loops follow from the (0, 0) loop
     raw, loop = [lindblad.ms_gate_channel(s) for s in specs]
     phi1 = gates.sk1_phase(math.pi / 2)
     sk1 = channels.compose_ptms([raw] + [lindblad.sk1_loop(loop, p) for p in (phi1, -phi1)])
-    f_raw = channels.avg_fidelity_from_ptm(raw, ideal)
-    f_sk1 = channels.avg_fidelity_from_ptm(sk1, ideal)
+    f_raw, f_sk1 = (channels.avg_fidelity_from_ptm(p, ideal) for p in (raw, sk1))
     # f_raw and f_sk1 carry ~1e-16 absolute error: the difference is good to 1e-12
     return [eps_amp, gamma, f_raw, f_sk1, round(f_sk1 - f_raw, 12)]
 
@@ -181,6 +183,7 @@ def build_sweep(cfg: dict):
     name = cfg["experiment"]
     with _config_stage(f"bad {name} config"):
         if name == "sk1_viability":
+            from . import lindblad
             # building a pulse spec refuses it over the work limit
             points = [(e, g, lindblad.sk1_pulse_specs(delta=float(cfg["delta"]),
                                                       gamma_heat=g, amp_scale=1.0 + e))
@@ -222,6 +225,12 @@ def _fmt(x) -> str:
     return f"{float(x):.12g}"
 
 
+def _check_output_dir(path) -> None:
+    """Refuse ``path`` before any work is spent on it if its directory is missing."""
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise FileNotFoundError(f"output directory of {path} does not exist")
+
+
 def run_sweep(cfg, out_path=None) -> None:
     """Validate ``cfg``, compute its points and write the CSV."""
     cfg = effective_config(cfg)
@@ -229,6 +238,7 @@ def run_sweep(cfg, out_path=None) -> None:
     if not out_path:
         raise ConfigError("no output path (use -o or config key 'output')")
     header, rows = build_sweep(cfg)
+    _check_output_dir(out_path)
     rows = list(rows)
     for row in rows:
         for col, x in zip(header, row):
@@ -253,6 +263,7 @@ def run_compile(in_path, out_path, pass_name, seed, threshold) -> None:
         rule = compiler.OrientationRule(threshold)
     with _config_stage(f"cannot read circuit {in_path}"):
         c = circuit.read_file(in_path)
+    _check_output_dir(out_path)
     if pass_name == "hidden":
         out, sites = compiler.apply_orientation_rule(c, rule)
         print(f"sites: {len(sites)}")
@@ -276,7 +287,8 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(f"{self.prog}: {message}")
 
 
-def main(argv=None) -> int:
+@functools.cache   # one parser per process: parsing leaves it unchanged
+def _parser() -> _Parser:
     parser = _Parser(prog="hinv", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="cmd", required=True)
 
@@ -297,9 +309,12 @@ def main(argv=None) -> int:
     p_ptm.add_argument("output")
     p_ptm.add_argument("--steps-per-period", type=int, default=None,
                        help="checked (>= 1) but has no effect: the propagation is exact")
+    return parser
 
+
+def main(argv=None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         if args.cmd == "sweep":
             with _config_stage(f"cannot read config {args.config}"):
                 with open(args.config) as fh:
@@ -312,8 +327,10 @@ def main(argv=None) -> int:
             if args.steps_per_period is not None and args.steps_per_period < 1:
                 raise ConfigError("--steps-per-period must be >= 1, "
                                   f"got {args.steps_per_period}")
+            from . import lindblad
             with _config_stage(f"cannot read spec {args.spec}"):
                 spec = lindblad.load_spec(args.spec)
+            _check_output_dir(args.output)
             channels.write_csv(lindblad.ms_gate_channel(spec), args.output)
     except Exception as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)

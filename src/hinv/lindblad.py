@@ -447,10 +447,10 @@ def ms_gate_channel(spec: LindbladSpec) -> PTM:
     """
     P = qmat.pauli_basis(2)
     spins = P.astype(complex)
-    nf = spec.n_fock
+    nf, swap = spec.n_fock, [0, 2, 1, 3]   # S: |01> <-> |10>
     a, b = np.divmod(np.arange(16), 4)
-    mirrors = np.flatnonzero(a > b) if _swap_symmetric(spec) else np.arange(0)
-    reps, swap = np.setdiff1d(np.arange(16), mirrors), [0, 2, 1, 3]   # S: |01> <-> |10>
+    mirrors, reps = ((np.flatnonzero(a > b), np.flatnonzero(a <= b)) if _swap_symmetric(spec)
+                     else (np.arange(0), np.arange(16)))   # not setdiff1d: it imports numpy.ma
     for j in range(len(spec.modes)):
         stacked = np.einsum("bac,fg->bafcg", spins[reps], mode_state(spec),
                             optimize=True).reshape(-1, 4 * nf, 4 * nf)

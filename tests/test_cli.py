@@ -77,6 +77,45 @@ def test_unwritable_output_exits_3(tmp_path):
     assert run(["sweep", cfg, "-o", str(missing)]) == 3
 
 
+def _count_pulse_evolutions(monkeypatch):
+    calls = []
+    monkeypatch.setattr(lindblad, "ms_gate_channel", lambda spec: calls.append(spec))
+    return calls
+
+
+@pytest.mark.parametrize("cmd, content", [
+    ("ptm", {"calibrate": {"n_fock": 3}}),
+    ("sweep", {"experiment": "sk1_viability", "eps_amplitude_list": [0.01],
+               "gamma_list": [20.0]}),
+])
+def test_missing_output_directory_exits_3_before_any_pulse(tmp_path, capsys, monkeypatch,
+                                                          cmd, content):
+    calls = _count_pulse_evolutions(monkeypatch)
+    src, missing = tmp_path / "input.json", tmp_path / "no" / "o.csv"
+    src.write_text(json.dumps(content))
+    assert run(ARGV[cmd].format(src=src, out=missing).split()) == 3
+    assert calls == []
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and str(missing) in err[0]
+
+
+def test_missing_output_directory_exits_3_before_the_pass(tmp_path, capsys):
+    src, missing = tmp_path / "in.circ", tmp_path / "no" / "o.circ"
+    circuit.write_file(circuit.parity_controlled_z(2, 0.3), src)
+    assert run(["compile", str(src), str(missing), "--pass", "hidden"]) == 3
+    out, err = capsys.readouterr()
+    assert "sites:" not in out
+    assert err.startswith("error:") and str(missing) in err and err.count("\n") == 1
+
+
+def test_a_config_error_wins_over_a_missing_output_directory(tmp_path, capsys, monkeypatch):
+    calls = _count_pulse_evolutions(monkeypatch)
+    src, missing = tmp_path / "spec.json", tmp_path / "no" / "o.csv"
+    src.write_text(json.dumps({"calibrate": {"n_fock": 3, "loops": 0}}))
+    assert run(["ptm", str(src), str(missing)]) == 2
+    assert calls == [] and "cannot read spec" in capsys.readouterr().err
+
+
 def test_repeated_2q_sweep(tmp_path):
     cfg = write_cfg(tmp_path, "repeated_2q", theta_points=3)
     out = tmp_path / "r.csv"
@@ -592,6 +631,53 @@ def test_importing_the_cli_loads_no_process_pool():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True, timeout=60)
     assert done.stdout.strip() == "[]"
+
+
+def test_the_cli_loads_lindblad_only_for_a_pulse_and_numpy_ma_never(tmp_path):
+    # a sweep or compile process does not pay for importing lindblad, and
+    # ms_gate_channel avoids np.setdiff1d, whose first call imports numpy.ma
+    src = str(Path(cli.__file__).resolve().parents[1])
+    spec, cfg, circ = tmp_path / "spec.json", tmp_path / "cfg.json", tmp_path / "in.circ"
+    spec.write_text(json.dumps({"calibrate": {"n_fock": 3}}))
+    cfg.write_text(json.dumps({"experiment": "overrotation_sweep", "n_list": [2],
+                               "theta_points": 3}))
+    circuit.write_file(circuit.parity_controlled_z(2, 0.3), circ)
+    argvs = [["sweep", str(cfg), "-o", str(tmp_path / "s.csv")],
+             ["compile", str(circ), str(tmp_path / "o.circ"), "--pass", "hidden"],
+             ["ptm", str(spec), str(tmp_path / "p.csv")]]
+    code = (f"import sys; sys.path.insert(0, {src!r}); import hinv.cli\n"
+            "loaded = lambda: [m in sys.modules for m in ('hinv.lindblad', 'numpy.ma')]\n"
+            "print('import', loaded())\n"
+            f"for argv in {argvs!r}:\n"
+            "    print(argv[0], hinv.cli.main(argv), loaded())\n")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, timeout=60)
+    assert [ln for ln in done.stdout.splitlines() if not ln.startswith(("sites", " "))] == [
+        "import [False, False]", "sweep 0 [False, False]", "compile 0 [False, False]",
+        "ptm 0 [True, False]"]
+    # a bare `import hinv` leaves lindblad unloaded until first access
+    code = (f"import sys; sys.path.insert(0, {src!r}); import hinv\n"
+            "print('hinv.lindblad' in sys.modules, callable(hinv.lindblad.ms_gate_channel),"
+            " hasattr(hinv, 'no_such_module'))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, timeout=60)
+    assert done.stdout.strip() == "False True False"
+
+
+def test_the_parser_is_built_once_and_keeps_no_state_between_calls(tmp_path, capsys):
+    assert cli._parser() is cli._parser()
+    src = tmp_path / "in.circ"
+    circuit.write_file(circuit.parity_controlled_z(2, 0.3), src)
+    compile_rc = ["compile", str(src), str(tmp_path / "o.circ"), "--pass", "rc"]
+    assert run(compile_rc + ["--seed", "5"]) == 0
+    assert "(seed=5)" in capsys.readouterr().out
+    assert run(compile_rc) == 0
+    assert "(seed=0)" in capsys.readouterr().out
+    assert run(["compile", str(src)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: hinv")
+    assert run(compile_rc) == 0
+    assert "(seed=0)" in capsys.readouterr().out
 
 
 # A circuit with nested, repeated and adjacent conjugation sites, and the
