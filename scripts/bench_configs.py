@@ -20,8 +20,10 @@ workload and per ``end_to_end`` metric of ``BENCHMARK.json``, the
 change/baseline median ratio, the pairs the change won and lost by the
 metric's ``better`` (ties count for neither), the baseline's interquartile
 spread, and ``within_bound``: whether the change's median is worse than the
-baseline's by no more than the metric's relative ``bound``; and the failed
-item count of each side. The output JSON also records the host (core count,
+baseline's by no more than the metric's relative ``bound``; ``gain_shown``:
+whether the change won at least 9 in 10 of the pairs and its median is better
+than the baseline's by more than ``baseline_iqr``; and the failed item count
+of each side. The output JSON also records the host (core count,
 CPU, numpy and BLAS versions, the BLAS thread count, and whether Python
 writes bytecode caches, ``sys.dont_write_bytecode``), each checkout's
 ``src/hinv`` line count, as ``wc -l`` gives it, in total and per module,
@@ -182,8 +184,9 @@ def perfbench_pairs(roots: dict, pairs: int, seconds: float) -> dict:
 
 
 def verdict(workloads: dict, end_to_end: list) -> dict:
-    """``{workload: {metric: {ratio, won, lost, baseline_iqr, within_bound}, failed}}``
-    of ``perfbench_pairs``'s output against the ``end_to_end`` list of ``BENCHMARK.json``."""
+    """``{workload: {metric: {ratio, won, lost, baseline_iqr, within_bound, gain_shown},
+    failed}}`` of ``perfbench_pairs``'s output against the ``end_to_end`` list of
+    ``BENCHMARK.json``."""
     out = {}
     for w, sides in workloads.items():
         base, change = sides["baseline"], sides["change"]
@@ -194,9 +197,14 @@ def verdict(workloads: dict, end_to_end: list) -> dict:
             b, c = base["median"][name], change["median"][name]
             gains = [sign * (rc[name] - rb[name]) for rb, rc in zip(base["runs"], change["runs"])]
             q1, q3 = base["quartiles"][name]
-            out[w][name] = {"ratio": c / b, "won": sum(g > 0 for g in gains),
+            won = sum(g > 0 for g in gains)
+            out[w][name] = {"ratio": c / b, "won": won,
                             "lost": sum(g < 0 for g in gains), "baseline_iqr": q3 - q1,
-                            "within_bound": sign * (c - b) >= -m["bound"] * abs(b)}
+                            "within_bound": sign * (c - b) >= -m["bound"] * abs(b),
+                            # the claim rule: 9 in 10 pairs won, and a median moved past the
+                            # baseline's quartile spread
+                            "gain_shown": 10 * won >= 9 * len(gains)
+                                          and sign * (c - b) > q3 - q1}
             print(f"{w} {name}: {out[w][name]}", file=sys.stderr)
     return out
 

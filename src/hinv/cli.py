@@ -226,9 +226,12 @@ def _fmt(x) -> str:
 
 
 def _check_output_dir(path) -> None:
-    """Refuse ``path`` before any work is spent on it if its directory is missing."""
+    """Refuse ``path`` before any work is spent on it if its directory is missing or
+    it is itself a directory."""
     if not os.path.isdir(os.path.dirname(path) or "."):
         raise FileNotFoundError(f"output directory of {path} does not exist")
+    if os.path.isdir(path):
+        raise IsADirectoryError(f"output path {path} is a directory")
 
 
 def run_sweep(cfg, out_path=None) -> None:

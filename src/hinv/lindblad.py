@@ -29,12 +29,16 @@ a^dag a + sum_n s_n t |1><1|_n])`` (``acc`` the accumulated segment
 detuning, ``o`` the mode offset, ``s_n`` ion n's Stark offset) every drive
 term keeps its t = 0 coefficient, H gains ``-(delta_seg - o) a^dag a -
 sum_n s_n |1><1|_n`` and no dissipator changes, so the generator is
-constant within a segment.  Each segment is one Chebyshev action of the
-Jacobi-Anger series ``e^A = J_0(R) + 2 sum_k J_k(R) i^k T_k(A / iR)`` (Tal-Ezer
-& Kosloff, J. Chem. Phys. 81, 3967 (1984)), its degree a rigorous a-priori
-bound from the spectral width of H and a bound on the dissipator (see
-:func:`_frame_generator`); a strongly damped or very long segment is split
-into equal actions.  An elementwise ``W(T)`` phase then returns to the lab
+constant within a segment.  With dissipation, each segment is one Chebyshev
+action of the Jacobi-Anger series ``e^A = J_0(R) + 2 sum_k J_k(R) i^k T_k(A /
+iR)`` (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)), its degree a
+rigorous a-priori bound from the spectral width of H and a bound on the
+dissipator (see :func:`_frame_generator`); a strongly damped or very long
+segment is split into equal actions.  A closed round (no dissipator, no
+heating) takes the same series on H instead, at half the width: it builds the
+exact propagator ``U = e^(-iHt)`` of each sector's h x h block over the
+schedule, and each part then maps as ``U r U^dag``, about 1e-14 from the
+Liouvillian series.  An elementwise ``W(T)`` phase then returns to the lab
 frame.  A spec predicted to take more than ``MAX_SERIES_WORK`` operator
 applications a round is refused when built.  The generator and each
 collapse operator respect the parity
@@ -287,7 +291,11 @@ def _frame_generator(spec: LindbladSpec, mode_index: int):
     block by 2 rows and columns; either is None when no channel needs it.  ``w``
     is the diagonal of ``W(T)``.  Per segment: ``G = iH + S`` as sector blocks
     (2, h, h), ``2 / (Delta + nu)``, and the R, Chebyshev degree N and count of
-    its equal actions, so its work is N times that count.
+    its equal actions, so its work is N times that count.  A closed round, both
+    None and S = 0, holds the series of ``U = e^(-iHt)`` instead: ``M = -i(H - c)``,
+    ``c`` the centre of the spectrum of H, ``4 / Delta``, and ``R = Delta t / 2``
+    and its degree, with the same count; the refusal below counts the Liouvillian
+    series either way.
 
     ``Delta`` is the eigenvalue spread of H over both sectors, so the
     commutator part of the generator has its numerical range in ``i [-Delta,
@@ -335,16 +343,21 @@ def _frame_generator(spec: LindbladSpec, mode_index: int):
         G = 1j * H + np.diag(static)
         spectrum = np.linalg.eigvalsh(np.stack([H[:h, :h], H[h:, h:]]))   # nan if H is not finite
         segments.append((np.stack([G[:h, :h], G[h:, h:]]), seg.duration,
-                         (spectrum.max() - spectrum.min() + nu) * seg.duration))
-    work = sum(R for *_, R in segments)
+                         (spectrum.max() - spectrum.min() + nu) * seg.duration,
+                         (spectrum.max() + spectrum.min()) / 2))
+    work = sum(R for _, _, R, _ in segments)
     if work <= MAX_SERIES_WORK:   # not for nan: no degree is sought past the limit
-        split = []
-        for G, t, R in segments:
+        split, work = [], 0
+        for G, t, R, c in segments:
             steps = max(1, math.ceil(nu * t / _STEP_DAMPING), math.ceil(R / _STEP_R))
-            split.append((G, 2 * t / R if R else 0.0, R / steps,
-                          _degree(R / steps, nu * t / steps), steps))
+            N = _degree(R / steps, nu * t / steps)
+            work += N * steps
+            if weights is None and heat is None:
+                # closed, G = iH; c is common to both sectors, so its phase cancels in U r U^dag
+                G, R = 1j * c * np.eye(h) - G, R / 2
+                N = _degree(R / steps, 0.0)
+            split.append((G, 2 * t / R if R else 0.0, R / steps, N, steps))
         segments = split
-        work = sum(N * steps for *_, N, steps in segments)
     if not work <= MAX_SERIES_WORK:
         raise ValueError(f"{work:.6g} series applications per mode round exceed the limit "
                          f"{MAX_SERIES_WORK}")
@@ -359,7 +372,7 @@ def _frame_generator(spec: LindbladSpec, mode_index: int):
 def _evolve_batch(rhos: np.ndarray, spec: LindbladSpec, mode_index: int) -> np.ndarray:
     """Exact evolution of a stack of Hermitian matrices over the schedule: the
     nonzero parity parts take one Chebyshev action per segment, or per each of
-    its equal pieces."""
+    its equal pieces; in a closed round, U does, and then maps each part."""
     order, weights, heat, segments, w = spec._rounds[mode_index]
     h = 2 * spec.n_fock
     # parts in order (even, then odd); block k of a part is sector block (k ^ odd, k)
@@ -373,7 +386,9 @@ def _evolve_batch(rhos: np.ndarray, spec: LindbladSpec, mode_index: int) -> np.n
 
     def apply(r, out, X):
         """``out = r G + G^dag r + D(r)`` with G and D scaled, X scratch; C order, so
-        reshapes are views."""
+        reshapes are views.  Closed, ``out = M r``."""
+        if closed:
+            return np.matmul(G, r, out=out)
         np.matmul(r.view(float).reshape(real), G, out=X.view(float).reshape(real))
         # X^dag, blocks swapped for odd parts: copy, then conjugate, 2x a conjugating copy
         np.copyto(out[:, :even], X[:, :even].transpose(0, 1, 3, 2))
@@ -392,13 +407,16 @@ def _evolve_batch(rhos: np.ndarray, spec: LindbladSpec, mode_index: int) -> np.n
     # apply folds 2 / R = 2 / ((Delta + nu) t) into G and the dissipator, whose weights are
     # made complex: a float-by-complex multiply casts, at about 1.7x the time
     r = x[bs, cols ^ odds, :, cols]
+    closed = weights is None and heat is None
+    if closed:   # the series evolves U per sector, from the identity
+        parts, r = r, np.tile(np.eye(h, dtype=complex), (2, 1, 1))
     p, nxt, acc, X = (np.empty_like(r) for _ in range(4))
     for G, scale, R, N, steps in segments:
         if N == 0:
             continue
-        # r G as one real GEMM per sector, with G in real form: faster than the complex GEMM
-        G = np.stack([np.kron(g.real, np.eye(2)) + np.kron(g.imag, [[0, 1], [-1, 0]])
-                      for g in scale * G])
+        # open, r G as one real GEMM per sector with G in real form: faster than the complex GEMM
+        G = scale * G if closed else np.stack(
+            [np.kron(g.real, np.eye(2)) + np.kron(g.imag, [[0, 1], [-1, 0]]) for g in scale * G])
         scale = complex(scale)
         if weights is not None:
             dw = (scale * weights).reshape(2, h, 2, h)[cols ^ odds, :, cols]
@@ -417,6 +435,8 @@ def _evolve_batch(rhos: np.ndarray, spec: LindbladSpec, mode_index: int) -> np.n
                 r, p, nxt = p, nxt, r
                 acc += np.multiply(p, c, out=X)
             r, acc = acc, r
+    if closed:   # each part is the sector block (k ^ odd, k): U_(k ^ odd) r U_k^dag
+        r = r[cols ^ odds] @ parts @ r.conj().transpose(0, 2, 1)[:, None]
     y = np.zeros_like(x)
     y[bs, cols ^ odds, :, cols] = r
     # back to the lab frame: rho -> W(T) rho W(T)^dag, elementwise for diagonal W

@@ -108,6 +108,32 @@ def test_missing_output_directory_exits_3_before_the_pass(tmp_path, capsys):
     assert err.startswith("error:") and str(missing) in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("cmd, content", [
+    ("ptm", {"calibrate": {"n_fock": 3}}),
+    ("sweep", {"experiment": "sk1_viability", "eps_amplitude_list": [0.01],
+               "gamma_list": [20.0]}),
+])
+def test_output_path_that_is_a_directory_exits_3_before_any_pulse(tmp_path, capsys,
+                                                                 monkeypatch, cmd, content):
+    calls = _count_pulse_evolutions(monkeypatch)
+    src, folder = tmp_path / "input.json", tmp_path / "out"
+    src.write_text(json.dumps(content))
+    folder.mkdir()
+    assert run(ARGV[cmd].format(src=src, out=folder).split()) == 3
+    assert calls == []
+    assert capsys.readouterr().err.splitlines() == [f"error: output path {folder} is a directory"]
+
+
+def test_output_path_that_is_a_directory_exits_3_before_the_pass(tmp_path, capsys):
+    src, folder = tmp_path / "in.circ", tmp_path / "out"
+    circuit.write_file(circuit.parity_controlled_z(2, 0.3), src)
+    folder.mkdir()
+    assert run(["compile", str(src), str(folder), "--pass", "hidden"]) == 3
+    out, err = capsys.readouterr()
+    assert "sites:" not in out
+    assert err == f"error: output path {folder} is a directory\n"
+
+
 def test_a_config_error_wins_over_a_missing_output_directory(tmp_path, capsys, monkeypatch):
     calls = _count_pulse_evolutions(monkeypatch)
     src, missing = tmp_path / "spec.json", tmp_path / "no" / "o.csv"

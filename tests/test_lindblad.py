@@ -321,6 +321,32 @@ def test_zero_generator_is_the_identity():
     assert np.array_equal(lindblad.ms_gate_channel(spec).mat, np.eye(16))
 
 
+# a closed round takes the series of U = e^(-iHt) on H; tau_m = 1e30 gives the same
+# pulse nonzero dissipator weights, so the Liouvillian series, at a physical difference
+# of 1e-30
+CLOSED_CASES = {
+    "calibrated": lindblad.xx_gate_spec(),
+    "fm_two_segments": _fm_spec(),
+    "two_modes_stark": _two_mode_spec(),   # 16 inputs, with odd parts
+}
+
+
+@pytest.mark.parametrize("spec", CLOSED_CASES.values(), ids=CLOSED_CASES)
+def test_closed_propagator_matches_the_liouvillian_series(spec):
+    vanishing = dataclasses.replace(spec, tau_m=1e30)
+    assert all(weights is None for _, weights, *_ in spec._rounds)
+    assert all(weights is not None for _, weights, *_ in vanishing._rounds)
+    closed, series = (lindblad.ms_gate_channel(s).mat for s in (spec, vanishing))
+    assert np.abs(closed - series).max() <= 3e-14
+
+
+@pytest.mark.parametrize("n_fock", [20, 30])
+def test_closed_calibrated_pulse_is_xx_quarter_to_roundoff(n_fock):
+    # the ground-state mode closes exactly: what is left is the floor of the closed path
+    R = lindblad.ms_gate_channel(lindblad.xx_gate_spec(n_fock=n_fock))
+    assert np.abs(R.mat - channels.ptm_of_unitary(xx_unitary(np.pi / 4)).mat).max() <= 3e-14
+
+
 # J_k(5000) to 17 digits, from 30-digit mpmath
 BESSEL_5000 = {0: -0.0066489842514483475, 112: 0.0065967292253833396,
                681: 0.0029688449221498504, 4999: 0.02756272820041481}
