@@ -11,11 +11,14 @@ Each run records ``{wall_s, rc, csv_sha256}``, and each config its runs
 and the median and quartiles of their ``wall_s``; a checkout whose runs of
 one config write different CSVs stops the script. With ``--baseline``,
 ``csv_identical`` records, per config both checkouts ran, whether their CSV
-sha256s are equal. With
-``--pairs N``, every workload of ``perfbench/run.py`` also runs N times per
-checkout for ``BENCHMARK.json``'s ``run_seconds``, in pairs whose first run
-alternates between baseline and change, and its end-to-end medians and
-quartiles are recorded. With both, ``perfbench.verdict`` records, per
+sha256s are equal, and ``csv_max_abs_diff``, per config whose sha256s
+differ, the largest absolute difference over the numeric cells of the two
+CSVs, ``#`` lines skipped (None when the two do not compare cell by cell as
+numbers: see :func:`csv_max_abs_diff`). With ``--pairs N``, every workload
+of ``perfbench/run.py`` also runs N times per checkout for
+``BENCHMARK.json``'s ``run_seconds``, in pairs whose first run alternates
+between baseline and change, and its end-to-end medians and quartiles are
+recorded. With both, ``perfbench.verdict`` records, per
 workload and per ``end_to_end`` metric of ``BENCHMARK.json``, the
 change/baseline median ratio, the pairs the change won and lost by the
 metric's ``better`` (ties count for neither), the baseline's interquartile
@@ -36,8 +39,10 @@ counted as failed.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
+import math
 import os
 import platform
 import re
@@ -123,34 +128,57 @@ def run_config(root: str, name: str, csv: str) -> dict:
     return {"wall_s": round(wall, 3), "rc": rc, "csv_sha256": digest}
 
 
-def run_configs(roots: dict) -> dict:
+def run_configs(roots: dict, tmp: str) -> dict:
     """``{label: {config file: {runs, rc, csv_sha256, wall_s}}}`` over this checkout's configs.
 
     Each config runs ``CONFIG_PAIRS`` times on every checkout that has it before
     the next config starts, and the first checkout alternates from one run to
     the next, so a drift in machine load falls on both sides alike.  ``wall_s``
-    holds the median and quartiles of the runs.
+    holds the median and quartiles of the runs.  Each checkout's CSV of config
+    ``name`` is left in ``tmp`` as ``<label>-<name>.csv``.
     """
     out = {label: {} for label in roots}
-    with tempfile.TemporaryDirectory() as tmp:
-        for name in sorted(os.listdir(os.path.join(ROOT, "configs"))):
-            have = {label: root for label, root in roots.items()
-                    if os.path.exists(os.path.join(root, "configs", name))}
-            runs = {label: [] for label in have}
-            for k in range(CONFIG_PAIRS):
-                order = list(have.items())
-                for label, root in order[::-1] if k % 2 else order:
-                    runs[label].append(run_config(root, name,
-                                                  os.path.join(tmp, f"{label}-{name}.csv")))
-            for label, rs in runs.items():
-                digests = {r["csv_sha256"] for r in rs}
-                if len(digests) != 1:
-                    raise SystemExit(f"{label}: {name} wrote {len(digests)} different CSVs")
-                q1, median, q3 = statistics.quantiles([r["wall_s"] for r in rs], n=4)
-                out[label][name] = {"runs": rs, "rc": next((r["rc"] for r in rs if r["rc"]), 0),
-                                    "csv_sha256": digests.pop(),
-                                    "wall_s": {"median": median, "q1": q1, "q3": q3}}
+    for name in sorted(os.listdir(os.path.join(ROOT, "configs"))):
+        have = {label: root for label, root in roots.items()
+                if os.path.exists(os.path.join(root, "configs", name))}
+        runs = {label: [] for label in have}
+        for k in range(CONFIG_PAIRS):
+            order = list(have.items())
+            for label, root in order[::-1] if k % 2 else order:
+                runs[label].append(run_config(root, name,
+                                              os.path.join(tmp, f"{label}-{name}.csv")))
+        for label, rs in runs.items():
+            digests = {r["csv_sha256"] for r in rs}
+            if len(digests) != 1:
+                raise SystemExit(f"{label}: {name} wrote {len(digests)} different CSVs")
+            q1, median, q3 = statistics.quantiles([r["wall_s"] for r in rs], n=4)
+            out[label][name] = {"runs": rs, "rc": next((r["rc"] for r in rs if r["rc"]), 0),
+                                "csv_sha256": digests.pop(),
+                                "wall_s": {"median": median, "q1": q1, "q3": q3}}
     return out
+
+
+def csv_max_abs_diff(a: str, b: str) -> float | None:
+    """The largest absolute difference over the numeric cells of CSV files ``a`` and
+    ``b``, lines that start with ``#`` skipped; None when their shapes differ, or
+    two cells differ that are not both numbers, or are nan on one side only."""
+    rows = []
+    for path in (a, b):
+        with open(path, newline="") as fh:
+            rows.append(list(csv.reader(line for line in fh if not line.startswith("#"))))
+    if [len(r) for r in rows[0]] != [len(r) for r in rows[1]]:
+        return None
+    worst = 0.0
+    for x, y in zip(sum(rows[0], []), sum(rows[1], [])):
+        if x != y:
+            try:
+                diff = abs(float(x) - float(y))
+            except ValueError:   # a text cell, such as a header
+                return None
+            if math.isnan(diff):
+                return None
+            worst = max(worst, diff)
+    return worst
 
 
 def perfbench_once(root: str, workload: str, seed: int, seconds: float) -> dict:
@@ -224,12 +252,19 @@ def main() -> int:
               "source_sha256": {label: source_sha256(root) for label, root in roots.items()},
               "src_module_lines": lines,
               "src_lines": {label: sum(per.values()) for label, per in lines.items()},
-              "tier1": {label: tier1(root) for label, root in roots.items()},
-              "configs": run_configs(roots)}
-    if args.baseline:
-        base, change = report["configs"]["baseline"], report["configs"]["change"]
-        report["csv_identical"] = {name: run["csv_sha256"] == base[name]["csv_sha256"]
-                                   for name, run in change.items() if name in base}
+              "tier1": {label: tier1(root) for label, root in roots.items()}}
+    with tempfile.TemporaryDirectory() as tmp:
+        report["configs"] = run_configs(roots, tmp)
+        if args.baseline:
+            base, change = report["configs"]["baseline"], report["configs"]["change"]
+            report["csv_identical"] = {name: run["csv_sha256"] == base[name]["csv_sha256"]
+                                       for name, run in change.items() if name in base}
+            report["csv_max_abs_diff"] = {
+                name: csv_max_abs_diff(*(os.path.join(tmp, f"{label}-{name}.csv")
+                                         for label in ("baseline", "change")))
+                for name, same in report["csv_identical"].items()
+                if not same and None not in (base[name]["csv_sha256"],
+                                             change[name]["csv_sha256"])}
     if args.pairs:
         with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
             bench = json.load(fh)

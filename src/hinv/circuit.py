@@ -29,6 +29,7 @@ parse(print(c)) == c exactly.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -259,6 +260,8 @@ def from_text(text: str) -> Circuit:
                 if n is not None:
                     raise ValueError("second 'qubits' header")
                 n = int(args[0])
+                if n > sys.float_info.max:   # as lindblad refuses a pulse field
+                    raise ValueError(f"qubits must be finite, got {n}")
             else:   # qubits, angles, then words (a cnot's orientation)
                 nq, na = gates._SHAPES[kind]
                 gs.append(gates.BUILDERS[kind](*map(int, args[:nq]),

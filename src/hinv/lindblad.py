@@ -43,12 +43,15 @@ frame.  A spec predicted to take more than ``MAX_SERIES_WORK`` operator
 applications a round is refused when built.  The generator and each
 collapse operator respect the parity
 ``Pi = Z_1 Z_2 (-1)^{a^dag a}``, so a matrix is an even part (sector blocks
-ee, oo) plus an odd part (eo, oe), and only nonzero parts are evolved.  An
-operator application is ``X + X^dag + D(rho)``, with ``X = rho_k G_k`` one
-real GEMM per column sector k of ``G = iH + S``, ``S = -(1/2) sum L^dag L``, and
-``D(rho) = sum L rho L^dag`` elementwise.  ``X^dag`` stands in for ``G^dag
-rho`` only for Hermitian rho, which :func:`ms_gate_channel` always passes;
-the series recurrence has real coefficients, so every term stays Hermitian.
+ee, oo) plus an odd part (eo, oe), and only nonzero parts are evolved.  The
+generator is complex-linear and keeps a matrix Hermitian, so an open round
+evolves two Hermitian parts A, B of one parity as one ``M = A + iB`` (an odd
+one out as ``M = A``) and ends with ``A = (M + M^dag) / 2``, ``B = (M -
+M^dag) / 2i``: valid only for Hermitian input, which :func:`ms_gate_channel`
+always passes.  An operator application is ``M G + G^dag M + D(M)``: ``M_k
+G_k`` one real GEMM per column sector k of ``G = iH + S``, ``S = -(1/2) sum
+L^dag L``, ``G^dag M`` one batched complex GEMM with each part's row-sector
+``G^dag``, and ``D(M) = sum L M L^dag`` elementwise.
 
 If each per-ion pair (``omega_r``, ``omega_b``, ``phi_r``, ``phi_b``, ``stark``,
 each ``eta``) is equal, the pulse and each collapse operator are invariant under
@@ -372,7 +375,9 @@ def _frame_generator(spec: LindbladSpec, mode_index: int):
 def _evolve_batch(rhos: np.ndarray, spec: LindbladSpec, mode_index: int) -> np.ndarray:
     """Exact evolution of a stack of Hermitian matrices over the schedule: the
     nonzero parity parts take one Chebyshev action per segment, or per each of
-    its equal pieces; in a closed round, U does, and then maps each part."""
+    its equal pieces, two of one parity at a time as ``M = A + iB``, which only
+    Hermitian input lets the end take apart; in a closed round, U does, and then
+    maps each part."""
     order, weights, heat, segments, w = spec._rounds[mode_index]
     h = 2 * spec.n_fock
     # parts in order (even, then odd); block k of a part is sector block (k ^ odd, k)
@@ -381,8 +386,9 @@ def _evolve_batch(rhos: np.ndarray, spec: LindbladSpec, mode_index: int) -> np.n
                            for o in (0, 1)])
     even = np.count_nonzero(odds == 0)
     cols, real = np.arange(2)[:, None], (2, -1, 2 * h)   # real: a sector's (re, im) columns
-    if heat is not None:  # flat over each sector's parts, zero where a shift crosses blocks
-        shift, flat = 2 * h + 2, np.empty((2, len(bs) * h * h), complex)
+
+    def part(i):   # where the parts i sit in x, and in y
+        return bs[i], cols ^ odds[i], slice(None), cols
 
     def apply(r, out, X):
         """``out = r G + G^dag r + D(r)`` with G and D scaled, X scratch; C order, so
@@ -390,10 +396,7 @@ def _evolve_batch(rhos: np.ndarray, spec: LindbladSpec, mode_index: int) -> np.n
         if closed:
             return np.matmul(G, r, out=out)
         np.matmul(r.view(float).reshape(real), G, out=X.view(float).reshape(real))
-        # X^dag, blocks swapped for odd parts: copy, then conjugate, 2x a conjugating copy
-        np.copyto(out[:, :even], X[:, :even].transpose(0, 1, 3, 2))
-        np.copyto(out[:, even:], X[::-1, even:].transpose(0, 1, 3, 2))
-        np.conjugate(out, out=out)
+        np.matmul(Gh, r, out=out)
         out += X
         if weights is not None:
             out += np.multiply(dw, r, out=X)
@@ -403,25 +406,35 @@ def _evolve_batch(rhos: np.ndarray, spec: LindbladSpec, mode_index: int) -> np.n
             o[:, :-shift] += np.multiply(dh, other, out=flat)[:, shift:]
 
     # e^A r = J_0(R) P_0 + 2 sum_k J_k(R) P_k, P_k = i^k T_k(A / iR) r (Jacobi-Anger), by
-    # P_k+1 = (2 / R) A P_k + P_k-1: real coefficients, so every P_k stays Hermitian;
-    # apply folds 2 / R = 2 / ((Delta + nu) t) into G and the dissipator, whose weights are
-    # made complex: a float-by-complex multiply casts, at about 1.7x the time
-    r = x[bs, cols ^ odds, :, cols]
+    # P_k+1 = (2 / R) A P_k + P_k-1: real coefficients, so the series is complex-linear and
+    # keeps a Hermitian P_0 Hermitian; apply folds 2 / R = 2 / ((Delta + nu) t) into G and
+    # the dissipator, whose weights are made complex: a float-by-complex multiply casts, at
+    # about 1.7x the time
     closed = weights is None and heat is None
     if closed:   # the series evolves U per sector, from the identity
-        parts, r = r, np.tile(np.eye(h, dtype=complex), (2, 1, 1))
+        parts, r = x[part(slice(None))], np.tile(np.eye(h, dtype=complex), (2, 1, 1))
+    else:   # same-parity parts in pairs, each pair one M = A + iB; an odd one out is M = A
+        firsts = np.r_[0:even:2, even:len(bs):2]
+        paired = np.flatnonzero(firsts + 1 < np.where(odds[firsts], len(bs), even))
+        r, odd = x[part(firsts)], odds[firsts]
+        r[:, paired] += 1j * x[part(firsts[paired] + 1)]
+    if heat is not None:  # flat over each sector's parts, zero where a shift crosses blocks
+        shift, flat = 2 * h + 2, np.empty((2, r[0].size), complex)
     p, nxt, acc, X = (np.empty_like(r) for _ in range(4))
     for G, scale, R, N, steps in segments:
         if N == 0:
             continue
-        # open, r G as one real GEMM per sector with G in real form: faster than the complex GEMM
-        G = scale * G if closed else np.stack(
-            [np.kron(g.real, np.eye(2)) + np.kron(g.imag, [[0, 1], [-1, 0]]) for g in scale * G])
+        G = scale * G
+        if not closed:   # G^dag of each part's row sector; r G as one real GEMM per sector
+            # with G in real form, faster than the complex GEMM
+            Gh = G.conj().transpose(0, 2, 1)[cols ^ odd]
+            G = np.stack([np.kron(g.real, np.eye(2)) + np.kron(g.imag, [[0, 1], [-1, 0]])
+                          for g in G])
         scale = complex(scale)
         if weights is not None:
-            dw = (scale * weights).reshape(2, h, 2, h)[cols ^ odds, :, cols]
+            dw = (scale * weights).reshape(2, h, 2, h)[cols ^ odd, :, cols]
         if heat is not None:
-            dh = np.tile(scale * heat, len(bs))
+            dh = np.tile(scale * heat, len(odd))
         coef = _bessel(R, N)
         coef[1:] *= 2
         for _ in range(steps):
@@ -435,10 +448,13 @@ def _evolve_batch(rhos: np.ndarray, spec: LindbladSpec, mode_index: int) -> np.n
                 r, p, nxt = p, nxt, r
                 acc += np.multiply(p, c, out=X)
             r, acc = acc, r
-    if closed:   # each part is the sector block (k ^ odd, k): U_(k ^ odd) r U_k^dag
-        r = r[cols ^ odds] @ parts @ r.conj().transpose(0, 2, 1)[:, None]
     y = np.zeros_like(x)
-    y[bs, cols ^ odds, :, cols] = r
+    if closed:   # each part is the sector block (k ^ odd, k): U_(k ^ odd) r U_k^dag
+        y[part(slice(None))] = r[cols ^ odds] @ parts @ r.conj().transpose(0, 2, 1)[:, None]
+    else:   # A = (M + M^dag) / 2, B = (M - M^dag) / 2i; block k of M^dag is block k ^ odd's
+        Mh = r[cols ^ odd, np.arange(len(odd))].conj().transpose(0, 1, 3, 2)
+        y[part(firsts)] = (r + Mh) / 2
+        y[part(firsts[paired] + 1)] = (r - Mh)[:, paired] / 2j
     # back to the lab frame: rho -> W(T) rho W(T)^dag, elementwise for diagonal W
     y = y.reshape(rhos.shape)[:, np.argsort(order)[:, None], np.argsort(order)]
     return y * np.outer(w, w.conj())

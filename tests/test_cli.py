@@ -441,6 +441,22 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, cmd, content, f
     assert fragment in err[0]
 
 
+@pytest.mark.parametrize("pass_name", ["hidden", "rc", "sk1"])
+def test_a_qubit_count_past_the_float_range_exits_2(tmp_path, capsys, pass_name):
+    # every pass refuses the header before it writes anything; the largest count a
+    # float holds is accepted, since no pass simulates the circuit
+    src, out = tmp_path / "in.circ", tmp_path / "out.circ"
+    argv = ["compile", str(src), str(out), "--pass", pass_name]
+    for n in (10 ** 400, int(sys.float_info.max) + 1):
+        src.write_text(f"qubits {n}\ncnot 0 1\nvirtual_z 1 0.7\ncnot 0 1\n")
+        assert run(argv) == 2 and not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and f"line 1: qubits must be finite, got {str(n)[:20]}" in err[0]
+    src.write_text(f"qubits {int(sys.float_info.max)}\ncnot 0 1\n")
+    assert run(argv) == 0
+    assert out.read_text().startswith(f"qubits {int(sys.float_info.max)}\n")
+
+
 def test_calibrate_forwards_the_channel_fields():
     spec = lindblad.spec_from_dict({"calibrate": {"n_fock": 3, "mode_nbar": 0.5}})
     assert (spec.n_fock, spec.mode_nbar) == (3, 0.5)
@@ -646,7 +662,7 @@ def test_shipped_ptm_spec_reproduces_recorded_csv(tmp_path):
     out = tmp_path / "ptm.csv"
     assert run(["ptm", str(CONFIGS / "ms_gate_lindblad.json"), str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "19d53164b4b88b32e5873b72d1967573f66db4e1682c5c4cb5dbe39948ff5c20")
+        "5fcd0a86e1a1291a0df553319a1c52711588d8a68d3cdb98e909a462039fe924")
 
 
 def test_importing_the_cli_loads_no_process_pool():

@@ -262,6 +262,22 @@ def test_each_parity_part_matches_dense_oracle(spec):
     assert not evolve(zero, spec).any()
 
 
+def test_pairing_same_parity_parts_changes_no_output():
+    # an open round evolves same-parity parts two at a time, as one M = A + iB: every
+    # channel on, unequal Stark shifts (so 16 inputs) and a thermal mode, and beside the
+    # 16 Pauli inputs (8 even, 8 odd) a generic matrix, so each parity has 9 parts and
+    # one is left alone; evolved together or each alone, the outputs agree
+    spec = dataclasses.replace(
+        lindblad.xx_gate_spec(delta=DELTA, n_fock=5, gamma_heat=2000.0, tau_m=2e-3,
+                              tau_l=5e-3, mode_nbar=0.2), stark=(0.0, 2 * np.pi * 1e3))
+    mode, D = lindblad.mode_state(spec), 4 * spec.n_fock
+    a, b = np.random.default_rng(5).standard_normal((2, D, D))
+    generic = (a + a.T + 1j * (b - b.T)) / D
+    rhos = np.array([np.kron(P, mode) for P in qmat.pauli_basis(2)] + [generic])
+    together = lindblad._evolve_batch(rhos, spec, 0)
+    assert np.abs(together - [evolve(rho, spec) for rho in rhos]).max() <= 1e-14
+
+
 def _random_spec(rng):
     """Two FM segments, two modes with offsets, Stark shifts, all three channels, nbar > 0."""
     delta = 2 * np.pi * rng.uniform(15e3, 40e3)
