@@ -26,8 +26,10 @@ spread, and ``within_bound``: whether the change's median is worse than the
 baseline's by no more than the metric's relative ``bound``; ``gain_shown``:
 whether the change won at least 9 in 10 of the pairs and its median is better
 than the baseline's by more than ``baseline_iqr``; and the failed item count
-of each side. The output JSON also records the host (core count,
-CPU, numpy and BLAS versions, the BLAS thread count, and whether Python
+of each side. The output JSON also records each checkout's absolute root
+(``roots``), which shows whether baseline and change sat in sibling
+directories, since some perfbench readings follow where a checkout sits; the
+host (core count, CPU, numpy and BLAS versions, the BLAS thread count, and whether Python
 writes bytecode caches, ``sys.dont_write_bytecode``), each checkout's
 ``src/hinv`` line count, as ``wc -l`` gives it, in total and per module,
 and one run of each checkout's Tier-1 suite (``python -m pytest -q`` in a
@@ -248,7 +250,7 @@ def main() -> int:
     if args.baseline:
         roots = {"baseline": os.path.abspath(args.baseline), **roots}
     lines = {label: module_lines(root) for label, root in roots.items()}
-    report = {"host": host(),
+    report = {"host": host(), "roots": roots,
               "source_sha256": {label: source_sha256(root) for label, root in roots.items()},
               "src_module_lines": lines,
               "src_lines": {label: sum(per.values()) for label, per in lines.items()},

@@ -193,10 +193,14 @@ def _probabilities(rho: np.ndarray) -> np.ndarray:
     return probs
 
 
-@lru_cache(maxsize=4096)
 def _gate_ptm(g: Gate, nm: NoiseModel) -> np.ndarray:
-    """The read-only PTM of ``gates.realize(g, nm)``, memoized on the same key."""
-    return channels.ptm_of_unitary(gates.realize(g, nm)).mat
+    """``gates.realize(g, nm)``'s read-only PTM, memoized on (kind, params, orientation, nm)."""
+    return _local_ptm(g.kind, g.params, g.orientation, nm)
+
+
+@lru_cache(maxsize=4096)
+def _local_ptm(kind: str, params: tuple, orientation: str, nm: NoiseModel) -> np.ndarray:
+    return channels.ptm_of_unitary(gates._realized(kind, params, orientation, nm)).mat
 
 
 def channels_after_two_qubit(c: Circuit, ptm) -> dict:

@@ -271,7 +271,8 @@ def run_compile(in_path, out_path, pass_name, seed, threshold) -> None:
         out, sites = compiler.apply_orientation_rule(c, rule)
         print(f"sites: {len(sites)}")
         for s in sites:
-            print(f"  gates ({s.left_index}, {s.right_index}) angle={s.enclosed_angle:.6g} "
+            angle = "n/a" if s.enclosed_angle is None else f"{s.enclosed_angle:.6g}"
+            print(f"  gates ({s.left_index}, {s.right_index}) angle={angle} "
                   f"closing={out.gates[s.right_index].orientation}")
     elif pass_name == "rc":
         out = compiler.randomized_compile(c, seed)

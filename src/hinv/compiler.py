@@ -21,11 +21,12 @@ from .gates import IDEAL, INVERSE, STANDARD, Gate, NoiseModel
 @dataclass(frozen=True)
 class ConjugationSite:
     """A matched U . W . U^dag motif: two copies of the same self-adjoint
-    composite around a block that does not commute with it."""
+    composite around a block that does not commute with it.  ``enclosed_angle``
+    is None when the block has no virtual Z on the target; the rule reads it as 0."""
 
     left_index: int
     right_index: int
-    enclosed_angle: float
+    enclosed_angle: float | None
 
 
 @dataclass(frozen=True)
@@ -38,8 +39,8 @@ class OrientationRule:
         if not (0.0 < self.threshold <= math.pi):
             raise ValueError("threshold must be in (0, pi]")
 
-    def pick_inverse(self, enclosed_angle: float) -> bool:
-        return abs(gates.wrap_pi(enclosed_angle)) <= self.threshold + 1e-15
+    def pick_inverse(self, enclosed_angle: float | None) -> bool:
+        return abs(gates.wrap_pi(enclosed_angle or 0.0)) <= self.threshold + 1e-15
 
 
 def find_hidden_inverse_sites(c: Circuit) -> list[ConjugationSite]:
@@ -80,13 +81,13 @@ def _has_noncommuting_witness(c: Circuit, left: int, right: int) -> bool:
     return False
 
 
-def _enclosed_angle(c: Circuit, left: int, right: int) -> float:
+def _enclosed_angle(c: Circuit, left: int, right: int) -> float | None:
     target = c.gates[left].qubits[1]
-    total = 0.0
+    total = None
     for g in c.gates[left + 1:right]:
         if g.kind == "virtual_z" and g.qubits[0] == target:
-            total += g.params[0]
-    return gates.wrap_pi(total)
+            total = (total or 0.0) + g.params[0]
+    return None if total is None else gates.wrap_pi(total)
 
 
 def apply_orientation_rule(c: Circuit, rule: OrientationRule = OrientationRule()

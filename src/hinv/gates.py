@@ -207,20 +207,24 @@ def _negated(g: Gate) -> Gate:
     return Gate(g.kind, g.qubits, (wrap_two_pi(-theta), *rest))
 
 
-@lru_cache(maxsize=4096)
 def realize(g: Gate, nm: NoiseModel = IDEAL) -> np.ndarray:
     """The unitary actually implemented for ``g`` under the noise model.
 
     Returned on the gate's local qubits (2x2 or 4x4); composites are the
-    ordered product of their realized native gates.  Memoized on
-    ``(g, nm)``, so the result is shared between callers and read-only.
+    ordered product of their realized native gates.  Memoized on ``(kind, params,
+    orientation, nm)``, not the qubits, so the result is shared and read-only.
     """
-    U = _realized(g, nm)
+    return _realized(g.kind, g.params, g.orientation, nm)
+
+
+@lru_cache(maxsize=4096)
+def _realized(kind: str, params: tuple, orientation: str, nm: NoiseModel) -> np.ndarray:
+    U = _build(Gate(kind, tuple(range(_SHAPES[kind][0])), params, orientation), nm)
     U.flags.writeable = False
     return U
 
 
-def _realized(g: Gate, nm: NoiseModel) -> np.ndarray:
+def _build(g: Gate, nm: NoiseModel) -> np.ndarray:
     seq = native_sequence(g)
     if seq is not None:
         return product(seq, len(g.qubits), nm)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hinv import analytics, channels, circuit, compiler, gates, qmat
 from hinv.analytics import MINUS, PLUS
 from hinv.circuit import HIDDEN_INVERSE
-from hinv.gates import INVERSE, STANDARD, NoiseModel
+from hinv.gates import INVERSE, STANDARD, Gate, NoiseModel
 
 from conftest import (CNOT4, SX, SZ, dense_twirled_superop, embed_on, expi, kron_chain,
                       noisy_circuits, parity_target, phase_overlap, random_unitary)
@@ -322,10 +322,14 @@ def test_memoized_gate_ptm_is_read_only_and_the_realized_gates_ptm():
               gates.hadamard(1), *gates.pauli(0, "Y")):
         R = circuit._gate_ptm(g, nm)
         assert R is circuit._gate_ptm(g, nm)
+        # memoized on what the gate is, not the qubits it sits on
+        moved = Gate(g.kind, tuple(q + 2 for q in g.qubits), g.params, g.orientation)
+        assert R is circuit._gate_ptm(moved, nm)
         assert not R.flags.writeable
         with pytest.raises(ValueError):
             R[0, 0] = 2.0
         assert np.array_equal(R, channels.ptm_of_unitary(gates.realize(g, nm)).mat)
+    assert circuit._gate_ptm(gates.cnot(0, 3), nm) is circuit._gate_ptm(gates.cnot(2, 3), nm)
 
 
 def test_non_cptp_channel_reports_its_gate_index():

@@ -202,16 +202,38 @@ def test_realize_memo_runs_one_eigh_per_distinct_driven_pulse(monkeypatch):
         return herm_exp(H, s)
 
     monkeypatch.setattr(qmat, "herm_exp", counting_herm_exp)
-    gates.realize.cache_clear()
+    gates._realized.cache_clear()
     nm = NoiseModel(eps_2q=0.02, eps_1q=0.002)
     base = circuit.parity_controlled_z(2, 0.4)
     for seed in range(100):
         circuit.unitary_of(compiler.randomized_compile(base, seed), nm)
-    driven = {h for h in gates.native_sequence(gates.cnot(0, 1, STANDARD))
-              if h.kind in ("rot1q", "xx")}
-    assert len(driven) == 5
-    assert len(calls) == len(driven)
-    assert gates.realize.cache_info().hits > 0
+    # the memo keys on (kind, params, orientation, nm), not the qubits, so the
+    # two R(-pi/2, 0) pulses on the control and the target are one pulse
+    assert len(calls) == len(driven_pulses(STANDARD)) == 4
+    assert gates._realized.cache_info().hits > 0
+    # a mixed-orientation ladder on 5 (control, target) pairs: 6 pulses, one eigh each
+    calls.clear()
+    gates._realized.cache_clear()
+    orientations = [STANDARD, INVERSE] * 5
+    circuit.unitary_of(circuit.parity_controlled_z(6, 0.4, orientations), nm)
+    assert len(calls) == len(driven_pulses(STANDARD, INVERSE)) == 6
+
+
+def driven_pulses(*orientations):
+    """The distinct (kind, params) of the driven gates of CNOTs in ``orientations``."""
+    return {(h.kind, h.params) for o in orientations
+            for h in gates.native_sequence(gates.cnot(0, 1, o)) if h.kind in ("rot1q", "xx")}
+
+
+def test_realize_shares_one_result_across_qubits_and_the_default_noise_model():
+    gates._realized.cache_clear()
+    U = gates.realize(gates.xx(0, 1, 0.3))
+    assert U is gates.realize(gates.xx(0, 1, 0.3), gates.IDEAL)
+    assert U is gates.realize(gates.xx(4, 2, 0.3), nm=gates.IDEAL)
+    assert gates._realized.cache_info().misses == 1
+    nm = NoiseModel(eps_2q=0.02, phi_diff=0.05)
+    assert gates.realize(gates.cnot(0, 3), nm) is gates.realize(gates.cnot(2, 3), nm)
+    assert gates.realize(gates.cnot(0, 3), nm) is not gates.realize(gates.cnot(0, 3, INVERSE), nm)
 
 
 def test_amplitude_to_angle_mapping():
