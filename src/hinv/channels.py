@@ -44,7 +44,10 @@ class PTM:
     mat: np.ndarray
 
     def __post_init__(self):
-        mat = np.array(self.mat, dtype=float)
+        mat = np.asarray(self.mat)
+        if np.iscomplexobj(mat) and np.any(mat.imag):
+            raise ValueError("PTM must be real, got a nonzero imaginary part")
+        mat = np.array(np.real(mat), dtype=float)
         d = 4**self.n
         if mat.shape != (d, d):
             raise ValueError(f"PTM for n={self.n} must be {d}x{d}, got {mat.shape}")

@@ -151,17 +151,16 @@ def run_density(c: Circuit, nm: NoiseModel = IDEAL, channel_map=None) -> np.ndar
     gate (how stochastic channels are attached to gates).  Raises
     ``ValueError`` on non-CPTP channels or dimension mismatch.  The density
     matrix is a row-major vector on 2n bits: bits 0..n-1 index its rows and
-    bits n..2n-1 its columns, so a gate U acts as U on the row bits and
-    conj(U) on the column bits.
+    bits n..2n-1 its columns, so a gate acts as its memoized U (x) conj(U)
+    (:func:`_gate_superop`) on its row and column bits.
     """
     _check_width(c)
     channel_map = _checked_channels(c, channel_map)
     n, dim = c.n, 2**c.n
     state = np.eye(1, dim * dim, dtype=complex)[0]   # |0..0><0..0|
     for i, g in enumerate(c.gates):
-        U = gates.realize(g, nm)
-        state = qmat.apply(U, g.qubits, state, 2 * n)
-        state = qmat.apply(U.conj(), tuple(n + q for q in g.qubits), state, 2 * n)
+        bits = g.qubits + tuple(n + q for q in g.qubits)
+        state = qmat.apply(_gate_superop(g, nm), bits, state, 2 * n)
         if i in channel_map:
             state = channels.apply_ptm(channel_map[i], state.reshape(dim, dim)).reshape(-1)
     return _probabilities(state.reshape(dim, dim))
@@ -203,6 +202,19 @@ def _local_ptm(kind: str, params: tuple, orientation: str, nm: NoiseModel) -> np
     return channels.ptm_of_unitary(gates._realized(kind, params, orientation, nm)).mat
 
 
+def _gate_superop(g: Gate, nm: NoiseModel) -> np.ndarray:
+    """``U (x) conj(U)`` of ``gates.realize(g, nm)``, read-only, memoized as :func:`_gate_ptm`."""
+    return _local_superop(g.kind, g.params, g.orientation, nm)
+
+
+@lru_cache(maxsize=4096)
+def _local_superop(kind: str, params: tuple, orientation: str, nm: NoiseModel) -> np.ndarray:
+    U = gates._realized(kind, params, orientation, nm)   # one broadcast product, as np.kron
+    D = (U[:, None, :, None] * U.conj()[None, :, None, :]).reshape(len(U) ** 2, -1)
+    D.flags.writeable = False
+    return D
+
+
 def channels_after_two_qubit(c: Circuit, ptm) -> dict:
     """Channel map attaching ``ptm`` after every two-qubit gate."""
     return {i: ptm for i, g in enumerate(c.gates) if g.kind in gates.TWO_QUBIT_KINDS}
@@ -211,11 +223,15 @@ def channels_after_two_qubit(c: Circuit, ptm) -> dict:
 def _checked_channels(c: Circuit, channel_map) -> dict:
     if not channel_map:
         return {}
-    # is_cptp reads the Choi margin cached on the PTM, so the object that
-    # channels_after_two_qubit attaches at every gate is diagonalized once
+    # the object that channels_after_two_qubit attaches at every gate is
+    # checked once, at its first index; every index is range-checked
+    checked = set()
     for i, R in channel_map.items():
         if not (0 <= i < len(c.gates)):
             raise ValueError(f"channel index {i} out of range")
+        if id(R) in checked:
+            continue
+        checked.add(id(R))
         if R.n != c.n:
             raise ValueError(f"channel on {R.n} qubits attached to {c.n}-qubit circuit")
         if not channels.is_cptp(R):

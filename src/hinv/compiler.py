@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import circuit, gates
-from .circuit import Circuit
+from .circuit import Circuit, _gate_superop
 from .gates import IDEAL, INVERSE, STANDARD, Gate, NoiseModel
 
 
@@ -164,8 +164,7 @@ def twirled_ladder_fidelity(n: int, theta: float, orientations=None,
     ``Tr[D(U)^dag D(V)] / 4**n``, and with independent twirls the mean of D(V)
     is the product of every gate's twirl-averaged D."""
     def site_op(g):
-        U = gates.realize(g, nm)
-        return _twirled_cnot(g.orientation, nm) if g.kind == "cnot" else np.kron(U, U.conj())
+        return _twirled_cnot(g.orientation, nm) if g.kind == "cnot" else _gate_superop(g, nm)
     gs = circuit.parity_controlled_z(n, theta, orientations).gates
     return circuit._ladder_trace(theta, gs, site_op).real
 

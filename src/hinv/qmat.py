@@ -106,7 +106,8 @@ def apply(op, qubits, M, n: int) -> np.ndarray:
     contraction touches only the ``qubits`` axes of the rows, so it costs
     O(2**k * size(M)) instead of O(4**n * size(M)).  Qubit 0 is the most
     significant bit of the row index.  It is one GEMM of ``op`` with the rows'
-    ``qubits`` axes transposed to the front, transposed back into a new array.
+    ``qubits`` axes transposed to the front, transposed back into a new array;
+    the qubit check and the axis orders are :func:`_axis_order`'s, once per key.
     """
     qubits = tuple(qubits)
     k = len(qubits)
@@ -114,21 +115,22 @@ def apply(op, qubits, M, n: int) -> np.ndarray:
     M = np.asarray(M)
     if op.shape != (2**k, 2**k):
         raise ValueError(f"operator shape {op.shape} does not match {k} qubit(s)")
-    if len(set(qubits)) != k or any(q < 0 or q >= n for q in qubits):
-        raise ValueError(f"bad qubit indices {qubits} for n={n}")
+    shape, front, back = _axis_order(qubits, n)
     if M.ndim not in (1, 2) or M.shape[0] != 2**n:
         raise ValueError(f"array shape {M.shape} does not have {2**n} rows")
-    front, back = _axis_order(qubits, n)
-    T = M.reshape((2,) * n + (-1,)).transpose(front)
+    T = M.reshape(shape).transpose(front)
     out = op @ T.reshape(2**k, -1)
     return out.reshape(T.shape).transpose(back).reshape(M.shape)
 
 
 @lru_cache(maxsize=4096)
 def _axis_order(qubits, n):
-    """The register's axes (rows, then columns) with ``qubits`` first, and the inverse."""
+    """The register's shape (n bits, then columns), its axes with ``qubits`` first, and
+    the inverse order.  Bad ``qubits`` raise, on every call: lru_cache keeps no exception."""
+    if len(set(qubits)) != len(qubits) or any(q < 0 or q >= n for q in qubits):
+        raise ValueError(f"bad qubit indices {qubits} for n={n}")
     front = qubits + tuple(a for a in range(n + 1) if a not in qubits)
-    return front, tuple(np.argsort(front))
+    return (2,) * n + (-1,), front, tuple(np.argsort(front))
 
 
 def embed(U, qubits, n: int) -> np.ndarray:

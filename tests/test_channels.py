@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -48,17 +49,25 @@ def test_ptm_rejects_non_unitary():
 
 @pytest.mark.parametrize("call, message", [
     (lambda: PTM(1, np.eye(3)), "PTM for n=1 must be 4x4, got (3, 3)"),
+    (lambda: PTM(1, np.eye(4) * (1 + 1j)), "PTM must be real, got a nonzero imaginary part"),
     (lambda: channels.ptm_of_unitary(np.eye(3)), "dimension 3 is not a power of two"),
     (lambda: channels.compose_ptms([]), "compose_ptms requires at least one PTM"),
     (lambda: channels.compose_ptms([PTM(1, np.eye(4)), PTM(2, np.eye(16))]),
      "PTM qubit counts differ"),
     (lambda: channels.process_fidelity_from_ptm(PTM(1, np.eye(4)), PTM(2, np.eye(16))),
      "PTM qubit counts differ"),
-], ids=["ptm_shape", "unitary_dimension", "compose_nothing", "compose_mixed_widths",
-        "fidelity_mixed_widths"])
+], ids=["ptm_shape", "ptm_complex", "unitary_dimension", "compose_nothing",
+        "compose_mixed_widths", "fidelity_mixed_widths"])
 def test_malformed_channel_input_is_refused(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
+
+
+def test_a_complex_ptm_with_zero_imaginary_part_is_taken_as_real():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # no ComplexWarning
+        R = PTM(1, np.eye(4, dtype=complex))
+    assert R.mat.dtype == float and np.array_equal(R.mat, np.eye(4))
 
 
 def test_depolarizing_edge_cases():

@@ -332,6 +332,67 @@ def test_memoized_gate_ptm_is_read_only_and_the_realized_gates_ptm():
     assert circuit._gate_ptm(gates.cnot(0, 3), nm) is circuit._gate_ptm(gates.cnot(2, 3), nm)
 
 
+def test_memoized_gate_superop_is_read_only_and_the_realized_gates_u_kron_conj_u():
+    nm = NoiseModel(eps_2q=0.02, eps_1q=0.01, phi_diff=0.05, delta_detune=0.01)
+    for g in (gates.cnot(0, 1, INVERSE), gates.xx(1, 0, 0.7), gates.rot1q(0, 0.4, 0.2),
+              gates.hadamard(1), gates.virtual_z(1, -0.3), *gates.pauli(0, "Y")):
+        D = circuit._gate_superop(g, nm)
+        moved = Gate(g.kind, tuple(q + 2 for q in g.qubits), g.params, g.orientation)
+        assert D is circuit._gate_superop(g, nm) is circuit._gate_superop(moved, nm)
+        assert not D.flags.writeable
+        with pytest.raises(ValueError):
+            D[0, 0] = 2.0
+        U = gates.realize(g, nm)
+        assert np.array_equal(D, np.kron(U, U.conj()))   # bitwise
+        assert D.dtype == np.kron(U, U.conj()).dtype
+
+
+def test_run_density_applies_one_operator_per_gate(monkeypatch):
+    calls = []
+    real = qmat.apply
+
+    def counted(op, qubits, M, n):
+        calls.append((op.shape, tuple(qubits), n))
+        return real(op, qubits, M, n)
+
+    monkeypatch.setattr(qmat, "apply", counted)
+    c = circuit.repeated_block_circuit(3, 0.4, 2, HIDDEN_INVERSE)
+    channel_map = circuit.channels_after_two_qubit(c, channels.depolarizing_ptm(3, 0.9))
+    nm = NoiseModel(eps_2q=0.02, eps_1q=0.01)
+    circuit.run_density(c, nm, channel_map)   # building each gate's unitary applies too
+    calls.clear()
+    circuit.run_density(c, nm, channel_map)
+    assert channel_map and len(calls) == len(c.gates)
+    # a gate's U (x) conj(U) on its row bits, then its column bits (n = 3)
+    assert calls[0] == ((4, 4), (0, 3), 6)
+    assert all(call == ((4 ** len(g.qubits),) * 2, g.qubits + tuple(3 + q for q in g.qubits), 6)
+               for call, g in zip(calls, c.gates))
+
+
+def test_each_attached_ptm_is_checked_once_and_every_index_is_range_checked(monkeypatch):
+    calls = []
+    real = channels.is_cptp
+
+    def counted(R):
+        calls.append(R)
+        return real(R)
+
+    monkeypatch.setattr(channels, "is_cptp", counted)
+    c = circuit.parity_controlled_z(4, 0.3)
+    shared, other = channels.depolarizing_ptm(4, 0.9), channels.depolarizing_ptm(4, 0.9)
+    channel_map = circuit.channels_after_two_qubit(c, shared)
+    channel_map[max(channel_map)] = other
+    for run in (circuit.run_density, circuit.run_ptm):
+        calls.clear()
+        run(c, NoiseModel(eps_2q=0.02), channel_map)
+        assert len(calls) == 2 and calls[0] is shared and calls[1] is other
+    two = circuit.Circuit(2, [gates.cnot(0, 1), gates.hadamard(0)])
+    good = channels.depolarizing_ptm(2, 0.9)
+    for run in (circuit.run_density, circuit.run_ptm):
+        with pytest.raises(ValueError, match="channel index 7 out of range"):
+            run(two, gates.IDEAL, {0: good, 7: good})
+
+
 def test_non_cptp_channel_reports_its_gate_index():
     c = circuit.parity_controlled_z(3, 0.3)  # CNOTs at gates 0, 1, 3, 4
     good = channels.depolarizing_ptm(3, 0.9)

@@ -697,17 +697,23 @@ def test_the_cli_loads_lindblad_only_for_a_pulse_and_numpy_ma_never(tmp_path):
     circuit.write_file(circuit.parity_controlled_z(2, 0.3), circ)
     argvs = [["sweep", str(cfg), "-o", str(tmp_path / "s.csv")],
              ["compile", str(circ), str(tmp_path / "o.circ"), "--pass", "hidden"],
-             ["ptm", str(spec), str(tmp_path / "p.csv")]]
+             ["compile", str(circ), str(tmp_path / "k.circ"), "--pass", "sk1"],
+             ["ptm", str(spec), str(tmp_path / "p.csv")],
+             ["compile", str(circ), str(tmp_path / "r.circ"), "--pass", "rc"]]
+    # and only an rc compile, which draws its twirls, loads numpy.random
     code = (f"import sys; sys.path.insert(0, {src!r}); import hinv.cli\n"
-            "loaded = lambda: [m in sys.modules for m in ('hinv.lindblad', 'numpy.ma')]\n"
+            "loaded = lambda: [m in sys.modules\n"
+            "                  for m in ('hinv.lindblad', 'numpy.ma', 'numpy.random')]\n"
             "print('import', loaded())\n"
             f"for argv in {argvs!r}:\n"
-            "    print(argv[0], hinv.cli.main(argv), loaded())\n")
+            "    print(argv[0], argv[-1], hinv.cli.main(argv), loaded())\n")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True, timeout=60)
-    assert [ln for ln in done.stdout.splitlines() if not ln.startswith(("sites", " "))] == [
-        "import [False, False]", "sweep 0 [False, False]", "compile 0 [False, False]",
-        "ptm 0 [True, False]"]
+    assert [ln for ln in done.stdout.splitlines()
+            if not ln.startswith(("sites", " ", "expanded", "twirled"))] == [
+        "import [False, False, False]", f"sweep {tmp_path / 's.csv'} 0 [False, False, False]",
+        "compile hidden 0 [False, False, False]", "compile sk1 0 [False, False, False]",
+        f"ptm {tmp_path / 'p.csv'} 0 [True, False, False]", "compile rc 0 [True, False, True]"]
     # a bare `import hinv` leaves lindblad unloaded until first access
     code = (f"import sys; sys.path.insert(0, {src!r}); import hinv\n"
             "print('hinv.lindblad' in sys.modules, callable(hinv.lindblad.ms_gate_channel),"

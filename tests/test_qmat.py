@@ -191,6 +191,16 @@ def test_apply_accepts_a_vector_and_real_operands(rng):
     assert np.abs(got - embed_on(op, (2, 0), 3).real @ v).max() < 1e-12
 
 
+@pytest.mark.parametrize("qubits", [(1, 1), (3,), (-1,), (0, 2, 0)],
+                         ids=["repeated", "past_the_end", "negative", "repeated_of_three"])
+def test_bad_qubits_raise_again_on_an_identical_call(qubits):
+    # the check runs inside the cached _axis_order, and lru_cache keeps no exception
+    op, M = np.eye(2 ** len(qubits)), np.eye(8, dtype=complex)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="bad qubit indices"):
+            qmat.apply(op, qubits, M, 3)
+
+
 def test_apply_checks_shapes_and_indices():
     M = np.eye(8, dtype=complex)
     with pytest.raises(ValueError):
