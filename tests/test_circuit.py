@@ -343,8 +343,8 @@ def test_memoized_gate_superop_is_read_only_and_the_realized_gates_u_kron_conj_u
         with pytest.raises(ValueError):
             D[0, 0] = 2.0
         U = gates.realize(g, nm)
-        assert np.array_equal(D, np.kron(U, U.conj()))   # bitwise
-        assert D.dtype == np.kron(U, U.conj()).dtype
+        K = np.kron(U, U.conj())
+        assert D.dtype == K.dtype and np.array_equal(D, K)   # bitwise
 
 
 def test_run_density_applies_one_operator_per_gate(monkeypatch):
@@ -364,7 +364,6 @@ def test_run_density_applies_one_operator_per_gate(monkeypatch):
     circuit.run_density(c, nm, channel_map)
     assert channel_map and len(calls) == len(c.gates)
     # a gate's U (x) conj(U) on its row bits, then its column bits (n = 3)
-    assert calls[0] == ((4, 4), (0, 3), 6)
     assert all(call == ((4 ** len(g.qubits),) * 2, g.qubits + tuple(3 + q for q in g.qubits), 6)
                for call, g in zip(calls, c.gates))
 
