@@ -29,7 +29,6 @@ parse(print(c)) == c exactly.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -41,7 +40,7 @@ from .gates import IDEAL, INVERSE, STANDARD, Gate, NoiseModel
 HIDDEN_INVERSE = "hidden"
 
 # largest 2**n for which unitary_of and run_density build a dense operator;
-# the n <= 10 cap on sweeps (cli._MAX_WIDTH) is a schema rule, not this cost limit
+# the n <= 10 cap on sweeps (cli._MAX_WIDTH in cli.RANGES) is a schema rule, not this limit
 MAX_DENSE_DIM = 1024
 
 
@@ -279,9 +278,11 @@ def from_text(text: str) -> Circuit:
             if kind == "qubits":
                 if n is not None:
                     raise ValueError("second 'qubits' header")
-                n = int(args[0])
-                if n > sys.float_info.max:   # as lindblad refuses a pulse field
-                    raise ValueError(f"qubits must be finite, got {n}")
+                try:
+                    n = int(args[0])
+                except ValueError:   # refused by the number rule, which names the header
+                    n = args[0]
+                n = gates.checked_number("qubits", n, int)
             else:   # qubits, angles, then words (a cnot's orientation)
                 nq, na = gates._SHAPES[kind]
                 gs.append(gates.BUILDERS[kind](*map(int, args[:nq]),

@@ -7,15 +7,15 @@ Subcommands::
     hinv ptm <lindblad-spec.json> <out.csv> [--steps-per-period N (no effect)]
 
 A sweep config names an experiment of :data:`SCHEMAS`, the one table of
-its keys and their defaults.  Sweeps emit deterministic CSV: a header
-comment echoing the effective config, one row per grid point, 12
-significant digits.
+its keys and their defaults; :data:`RANGES` holds their ranges.  Sweeps
+emit deterministic CSV: a header comment echoing the effective config, one
+row per grid point, 12 significant digits.
 
-Exit codes: 0 success, 2 config error (a bad command line or input file,
-or anything raised while building an experiment's inputs), 3 any other
-failure, such as a numeric guard or running out of memory.  Either way
-stderr gets one ``error:`` line: the exception's text, or its type's name
-when it has none.
+Exit codes: 0 success, 2 config error (a bad command line or input file, a
+number refused by ``gates.checked_number``, or anything raised while
+building an experiment's inputs), 3 any other failure, such as a numeric
+guard or running out of memory.  Either way stderr gets one ``error:``
+line: the exception's text, or its type's name when it has none.
 """
 
 from __future__ import annotations
@@ -31,10 +31,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from . import analytics, channels, circuit, compiler, gates
-
-
-class ConfigError(ValueError):
-    pass
+from .gates import InputError as ConfigError
 
 
 # ---------------------------------------------------------------------------
@@ -70,24 +67,27 @@ _NOISE_FIELDS = {
     "delta_detune": ("delta_detune", float),
 }
 
-# widest sweep register: a schema rule, not a cost limit (ladder_overlap is O(n))
-_MAX_WIDTH = 10
-_KINDS = {str: "a string", int: "an integer", float: "a finite number",
-          list: "a non-empty list"}
+_MAX_WIDTH = 10   # widest sweep register: a schema rule, not a cost limit (ladders are O(n))
+_THETA = {"lo": -math.pi - 1e-12, "hi": math.pi + 1e-12}
+# key -> the range of its number, or of each entry of its list (gates.checked_number)
+RANGES = {"theta_min": _THETA, "theta_max": _THETA, "theta_points": {"lo": 1}, "reps": {"lo": 1},
+          "n": {"lo": 2, "hi": _MAX_WIDTH}, "n_list": {"lo": 2, "hi": _MAX_WIDTH},
+          "seeds": {"lo": 1}, "seed": {"lo": 0}, "p_depol": {"lo": 0, "hi": 1},
+          "gamma_list": {"lo": 0}, "eps_amplitude_list": {"lo": -1, "strict": True}}
 
 
 def _checked(key, value, default):
-    """``value`` if it has the type of ``default`` (an int passes for a float)
-    and, if a number, a float can hold it."""
-    if isinstance(default, list):
-        if isinstance(value, list) and value:
-            return [_checked(f"{key} entries", v, default[0]) for v in value]
-    elif type(value) is type(default) or (type(value), type(default)) == (int, float):
-        if isinstance(default, str) or abs(value) <= sys.float_info.max:
-            return value
-        if isinstance(default, int):
-            raise ConfigError(f"{key} must be finite, got {value!r}")
-    raise ConfigError(f"{key} must be {_KINDS[type(default)]}, got {value!r}")
+    """``value`` if it has the type of ``default``: a string, or a number or a non-empty
+    list of numbers, each by :func:`gates.checked_number` in ``key``'s :data:`RANGES`."""
+    rule = RANGES.get(key, {})
+    if isinstance(default, list) and isinstance(value, list) and value:
+        return [gates.checked_number(f"{key} entries", v, type(default[0]), **rule) for v in value]
+    if isinstance(default, (int, float)):
+        return gates.checked_number(key, value, type(default), **rule)
+    if isinstance(default, str) and isinstance(value, str):
+        return value
+    kind = "a string" if isinstance(default, str) else "a non-empty list"
+    raise ConfigError(f"{key} must be {kind}, got {value!r}")
 
 
 def effective_config(cfg) -> dict:
@@ -114,8 +114,11 @@ def effective_config(cfg) -> dict:
 
 def _noise_from_cfg(cfg) -> gates.NoiseModel:
     """The coherent-error model set by the noise keys of an effective config."""
-    return gates.NoiseModel(**{field: conv(cfg[key])
-                               for key, (field, conv) in _NOISE_FIELDS.items() if key in cfg})
+    try:
+        return gates.NoiseModel(**{field: conv(cfg[key])
+                                   for key, (field, conv) in _NOISE_FIELDS.items() if key in cfg})
+    except OverflowError:   # only (1 + eps)**2 of eps_2q_amplitude can pass the float range
+        raise ConfigError(f"eps_2q_amplitude overflows eps_2q, got {cfg['eps_2q_amplitude']!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -192,20 +195,16 @@ def build_sweep(cfg: dict):
             return (["eps_amplitude", "gamma_heat", "f_raw", "f_sk1", "improvement"],
                     (_sk1_row(e, g, specs) for e, g, specs in points))
         lo, hi, pts = cfg["theta_min"], cfg["theta_max"], cfg["theta_points"]
-        if pts < 1 or lo < -math.pi - 1e-12 or hi > math.pi + 1e-12 or lo > hi:
+        if lo > hi:   # each key's own range is checked by RANGES
             raise ConfigError(f"bad theta grid: [{lo}, {hi}] x {pts}")
         grid = [float(t) for t in np.linspace(lo, hi, pts)]
         nm = _noise_from_cfg(cfg)
         if name == "rc_compare":
-            n, seeds, seed = cfg["n"], cfg["seeds"], cfg["seed"]
-            if not (2 <= n <= _MAX_WIDTH and seeds >= 1 and seed >= 0):
-                raise ConfigError(f"need n in [2, {_MAX_WIDTH}], seeds >= 1, seed >= 0")
+            n = cfg["n"]
             return (["theta", "f_hidden", "f_standard", "f_rc_mean"],
                     ([t] + _ladders(n, t, nm) + [analytics.average_from_entanglement(
                         compiler.twirled_ladder_fidelity(n, t, nm=nm), n)] for t in grid))
         if name == "repeated_2q":
-            if cfg["reps"] < 1:
-                raise ConfigError("reps must be >= 1")
             return (["theta", "f_hidden", "f_standard"],
                     (_repeated_row(t, 2, cfg["reps"], nm) for t in grid))
         if name == "contrast_4q":
@@ -213,8 +212,6 @@ def build_sweep(cfg: dict):
             return (["theta", "p0000_hidden", "p1111_hidden", "pother_hidden",
                      "p0000_standard", "p1111_standard", "pother_standard"],
                     (_contrast_row(t, 4, nm, depol) for t in grid))
-        if not all(2 <= n <= _MAX_WIDTH for n in cfg["n_list"]):
-            raise ConfigError(f"n_list entries must be in [2, {_MAX_WIDTH}]")
         return (["n", "theta", "f_hidden", "f_standard"],
                 ([n, t] + _ladders(n, t, nm) for n in cfg["n_list"] for t in grid))
 
@@ -260,10 +257,8 @@ def run_sweep(cfg, out_path=None) -> None:
 # compile pass driver
 
 def run_compile(in_path, out_path, pass_name, seed, threshold) -> None:
-    if seed < 0:
-        raise ConfigError(f"--seed must be >= 0, got {seed}")
-    with _config_stage("bad --threshold"):
-        rule = compiler.OrientationRule(threshold)
+    gates.checked_number("--seed", seed, int, lo=0, finite=False)   # any int seeds the twirls
+    rule = compiler.OrientationRule(threshold)
     with _config_stage(f"cannot read circuit {in_path}"):
         c = circuit.read_file(in_path)
     _check_output_dir(out_path)
@@ -311,7 +306,7 @@ def _parser() -> _Parser:
     p_ptm = sub.add_parser("ptm", help="extract a pulse-level MS gate PTM to CSV")
     p_ptm.add_argument("spec")
     p_ptm.add_argument("output")
-    p_ptm.add_argument("--steps-per-period", type=int, default=None,
+    p_ptm.add_argument("--steps-per-period", type=int, default=1,
                        help="checked (>= 1) but has no effect: the propagation is exact")
     return parser
 
@@ -328,9 +323,8 @@ def main(argv=None) -> int:
             run_compile(args.input, args.output, args.pass_name, args.seed,
                         args.threshold)
         elif args.cmd == "ptm":
-            if args.steps_per_period is not None and args.steps_per_period < 1:
-                raise ConfigError("--steps-per-period must be >= 1, "
-                                  f"got {args.steps_per_period}")
+            gates.checked_number("--steps-per-period", args.steps_per_period, int, lo=1,
+                                 finite=False)
             from . import lindblad
             with _config_stage(f"cannot read spec {args.spec}"):
                 spec = lindblad.load_spec(args.spec)

@@ -36,8 +36,7 @@ class OrientationRule:
     threshold: float = math.pi / 2
 
     def __post_init__(self):
-        if not (0.0 < self.threshold <= math.pi):
-            raise ValueError("threshold must be in (0, pi]")
+        gates.checked_number("threshold", self.threshold, lo=0, hi=math.pi, strict=True)
 
     def pick_inverse(self, enclosed_angle: float | None) -> bool:
         return abs(gates.wrap_pi(enclosed_angle or 0.0)) <= self.threshold + 1e-15

@@ -45,6 +45,7 @@ Noise model
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -67,6 +68,28 @@ TWO_QUBIT_KINDS = tuple(k for k, (nq, _) in _SHAPES.items() if nq == 2)
 SK1_MAX_SPIN_ANGLE = 4 * math.pi
 
 _DRIFT_2Q = np.kron(Z, I2) + np.kron(I2, Z)   # built once: an np.kron call costs ~15 us
+
+
+class InputError(ValueError):
+    """A refused input: ``hinv`` exits 2 on it."""
+
+
+def checked_number(name, value, kind=float, lo=None, hi=None, strict=False, finite=True):
+    """``value`` if it passes the number rule of every input, else the :class:`InputError`
+    ``<name> must be <rule>, got <value!r>``.  A bool is never a number; an int passes for a
+    float, unless past the float range.  ``finite`` refuses inf, nan and any int past it.  A
+    range, ``>= lo`` (``> lo`` if ``strict``) or ``in [lo, hi]``, refuses nan."""
+    if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
+        rule = "an integer" if kind is int else "a number"
+    elif not abs(value) <= sys.float_info.max and (finite or type(value) is not kind):
+        rule = "finite"
+    elif not ((lo is None or (lo < value if strict else lo <= value))
+              and (hi is None or value <= hi)):
+        rule = (f"in {'(' if strict else '['}{lo}, {hi}]" if hi is not None
+                else f"{'>' if strict else '>='} {lo}")
+    else:
+        return value
+    raise InputError(f"{name} must be {rule}, got {value!r}")
 
 
 def wrap_two_pi(theta: float) -> float:

@@ -64,7 +64,6 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -84,33 +83,22 @@ class Segment:
     delta: float             # symmetric detuning during the segment, rad/s
 
     def __post_init__(self):
-        _numbers(self, "duration", bound=">")
+        _numbers(self, "duration", lo=0, strict=True)
         _numbers(self, "delta")
 
 
-def _number(name: str, value, per_ion=False, finite=True, bound=None):
-    """``value`` checked as the pulse field ``name``: a number, or with ``per_ion``
-    one number per ion, returned as a tuple of two.  A bool is not a number here:
-    JSON ``true`` would pass as 1.  An int too large for a float is refused, and
-    unless ``finite`` is False, inf and nan are too.  With ``bound`` ``">="`` or ``">"``,
-    a number not so to 0 is refused, nan included.  Each refusal names the field."""
-    values = tuple(value) if per_ion and isinstance(value, (list, tuple)) else (value,)
-    if per_ion and len(values) != 2:
+def _per_ion(name: str, value) -> tuple:
+    """``value`` as one number per ion, a tuple of two, each by :func:`gates.checked_number`."""
+    values = tuple(value) if isinstance(value, (list, tuple)) else (value,)
+    if len(values) != 2:
         raise ValueError(f"{name} needs one value per ion, got {len(values)}")
-    for x in values:
-        if isinstance(x, bool) or not isinstance(x, (int, float)):
-            raise ValueError(f"{name} must be a number, got {x!r}")
-        if isinstance(x, int) and abs(x) > sys.float_info.max or finite and not math.isfinite(x):
-            raise ValueError(f"{name} must be finite, got {x!r}")
-        if bound and not (x >= 0 if bound == ">=" else x > 0):
-            raise ValueError(f"{name} must be {bound} 0, got {x!r}")
-    return values if per_ion else value
+    return tuple(gates.checked_number(name, x) for x in values)
 
 
-def _numbers(spec, *names, **rule) -> None:
-    """Check each named field of a frozen spec by :func:`_number`, keeping what it returns."""
+def _numbers(spec, *names, check=gates.checked_number, **rule) -> None:
+    """Check each named field of a frozen spec by ``check``, keeping what it returns."""
     for name in names:
-        object.__setattr__(spec, name, _number(name, getattr(spec, name), **rule))
+        object.__setattr__(spec, name, check(name, getattr(spec, name), **rule))
 
 
 @dataclass(frozen=True)
@@ -119,7 +107,7 @@ class ModeSpec:
     offset: float = 0.0               # mode frequency offset from reference, rad/s
 
     def __post_init__(self):
-        _numbers(self, "eta", per_ion=True)
+        _numbers(self, "eta", check=_per_ion)
         _numbers(self, "offset")
 
 
@@ -139,14 +127,12 @@ class LindbladSpec:
     mode_nbar: float = 0.0            # thermal occupation of the initial mode state
 
     def __post_init__(self):
-        _numbers(self, "omega_r", "omega_b", "phi_r", "phi_b", "stark", per_ion=True)
-        _numbers(self, "gamma_heat", "mode_nbar", bound=">=")
-        _numbers(self, "tau_m", "tau_l", finite=False, bound=">")   # inf: no decoherence
+        _numbers(self, "omega_r", "omega_b", "phi_r", "phi_b", "stark", check=_per_ion)
+        _numbers(self, "gamma_heat", "mode_nbar", lo=0)
+        _numbers(self, "tau_m", "tau_l", lo=0, strict=True, finite=False)   # inf: no decoherence
+        _numbers(self, "n_fock", kind=int, lo=2)
         object.__setattr__(self, "modes", tuple(self.modes))
         object.__setattr__(self, "segments", tuple(self.segments))
-        if not isinstance(self.n_fock, int) or self.n_fock < 2:
-            raise ValueError(f"n_fock must be an integer >= 2, got {self.n_fock!r}")
-        _number("n_fock", self.n_fock)
         if not self.modes or not self.segments:
             raise ValueError("need at least one mode and one segment")
         # built once, refusing a round over MAX_SERIES_WORK now; _evolve_batch reads them
@@ -169,13 +155,9 @@ def xx_gate_spec(theta: float = math.pi / 4, delta: float = 2 * math.pi * 20e3,
     ``n_fock`` and ``mode_nbar``; a field the calibration sets is refused.
     """
     for key, value in dict(theta=theta, delta=delta, eta=eta, amp_scale=amp_scale).items():
-        number = isinstance(value, (int, float)) and not isinstance(value, bool)  # JSON true is 1
-        if not (number and 0 < value <= sys.float_info.max):
-            raise ValueError(f"{key} must be a finite number > 0, got {value!r}")
-    if type(loops) is not int or loops < 1:
-        raise ValueError(f"loops must be an integer >= 1, got {loops!r}")
-    _number("loops", loops)
-    phases = tuple(x - math.pi / 2 for x in _number("spin_phases", spin_phases, per_ion=True))
+        gates.checked_number(key, value, lo=0, strict=True)
+    gates.checked_number("loops", loops, int, lo=1)
+    phases = tuple(x - math.pi / 2 for x in _per_ion("spin_phases", spin_phases))
     T = 2 * math.pi * loops / delta
     f = delta * math.sqrt(theta / (4 * math.pi * loops))
     omega = 2 * f / eta * amp_scale

@@ -274,8 +274,9 @@ SMALL_SPEC = {"calibrate": {"n_fock": 3}}
 FULL_SPEC = lindblad.spec_to_dict(lindblad.xx_gate_spec(n_fock=3))
 BAD_INPUTS = {
     "eps_2q_string": ("sweep", {"experiment": "overrotation_sweep", "eps_2q": "abc"},
-                      "eps_2q must be a finite number"),
-    "zero_seeds": ("sweep", {"experiment": "rc_compare", "seeds": 0}, "seeds >= 1"),
+                      "eps_2q must be a number, got 'abc'"),
+    "zero_seeds": ("sweep", {"experiment": "rc_compare", "seeds": 0},
+                   "seeds must be >= 1, got 0"),
     "array_config": ("sweep", [1, 2], "config must be a JSON object"),
     "n_list_1": ("sweep", {"experiment": "overrotation_sweep", "n_list": [1]}, "n_list"),
     "n_list_11": ("sweep", {"experiment": "phase_sweep", "n_list": [11]}, "n_list"),
@@ -287,13 +288,14 @@ BAD_INPUTS = {
                             "theta_points must be an integer"),
     "zero_reps": ("sweep", {"experiment": "repeated_2q", "reps": 0}, "reps must be >= 1"),
     "p_depol_2": ("sweep", {"experiment": "contrast_4q", "p_depol": 2},
-                  "retention probability"),
-    "rc_width_1": ("sweep", {"experiment": "rc_compare", "n": 1}, "n in [2, 10]"),
+                  "p_depol must be in [0, 1], got 2"),
+    "rc_width_1": ("sweep", {"experiment": "rc_compare", "n": 1},
+                   "n must be in [2, 10], got 1"),
     # a JSON integer past the float range
     "eps_2q_huge_int": ("sweep", {"experiment": "overrotation_sweep", "eps_2q": 10 ** 400},
-                        "eps_2q must be a finite number, got 1000"),
+                        "eps_2q must be finite, got 1000"),
     "phi_nan": ("sweep", {"experiment": "phase_sweep", "phi_diff_deg": math.nan},
-                "phi_diff_deg must be a finite number"),
+                "phi_diff_deg must be finite, got nan"),
     "ptm_extract": ("sweep", {"experiment": "ptm_extract", "steps_per_period": 100},
                     "hinv ptm"),
     "bad_theta_grid": ("sweep", {"experiment": "rc_compare", "theta_min": 1.0,
@@ -312,23 +314,23 @@ BAD_INPUTS = {
     "steps_per_period_negative": ("ptm {src} {out} --steps-per-period -5", SMALL_SPEC,
                                   "--steps-per-period must be >= 1, got -5"),
     "loops_fraction": ("ptm", {"calibrate": {"n_fock": 3, "loops": 1.5}},
-                       "loops must be an integer >= 1, got 1.5"),
+                       "loops must be an integer, got 1.5"),
     "loops_0": ("ptm", {"calibrate": {"n_fock": 3, "loops": 0}},
-                "loops must be an integer >= 1, got 0"),
+                "loops must be >= 1, got 0"),
     "delta_0": ("ptm", {"calibrate": {"n_fock": 3, "delta": 0}},
-                "delta must be a finite number > 0, got 0"),
+                "delta must be > 0, got 0"),
     "eta_0": ("ptm", {"calibrate": {"n_fock": 3, "eta": 0}},
-              "eta must be a finite number > 0, got 0"),
+              "eta must be > 0, got 0"),
     "theta_string": ("ptm", {"calibrate": {"n_fock": 3, "theta": "pi/4"}},
-                     "theta must be a finite number > 0, got 'pi/4'"),
+                     "theta must be a number, got 'pi/4'"),
     "delta_string": ("ptm", {"calibrate": {"n_fock": 3, "delta": "1e5"}},
-                     "delta must be a finite number > 0, got '1e5'"),
+                     "delta must be a number, got '1e5'"),
     "amp_scale_string": ("ptm", {"calibrate": {"n_fock": 3, "amp_scale": "x"}},
-                         "amp_scale must be a finite number > 0, got 'x'"),
+                         "amp_scale must be a number, got 'x'"),
     "amp_scale_negative": ("ptm", {"calibrate": {"n_fock": 3, "amp_scale": -1}},
-                           "amp_scale must be a finite number > 0, got -1"),
+                           "amp_scale must be > 0, got -1"),
     "theta_bool": ("ptm", {"calibrate": {"n_fock": 3, "theta": True}},
-                   "theta must be a finite number > 0, got True"),
+                   "theta must be a number, got True"),
     "spin_phases_one_entry": ("ptm", {"calibrate": {"n_fock": 3, "spin_phases": [0.5]}},
                               "spin_phases needs one value per ion, got 1"),
     "spin_phases_bool": ("ptm", {"calibrate": {"n_fock": 3, "spin_phases": [True, 0]}},
@@ -338,7 +340,7 @@ BAD_INPUTS = {
     "spin_phases_huge_int": ("ptm", {"calibrate": {"n_fock": 3, "spin_phases": [10 ** 400, 0]}},
                              "spin_phases must be finite, got 1000"),
     "theta_huge_int": ("ptm", {"calibrate": {"n_fock": 3, "theta": 10 ** 400}},
-                       "theta must be a finite number > 0, got 1000"),
+                       "theta must be finite, got 1000"),
     "loops_huge_int": ("ptm", {"calibrate": {"n_fock": 3, "loops": 10 ** 400}},
                        "loops must be finite, got 1000"),
     "n_fock_huge_int": ("ptm", {"calibrate": {"n_fock": 10 ** 400}},
@@ -353,7 +355,7 @@ BAD_INPUTS = {
     "steps_per_period_word": ("ptm {src} {out} --steps-per-period abc", SMALL_SPEC,
                               "argument --steps-per-period: invalid int value: 'abc'"),
     "n_fock_fraction": ("ptm", {"calibrate": {"n_fock": 5.5}},
-                        "n_fock must be an integer >= 2, got 5.5"),
+                        "n_fock must be an integer, got 5.5"),
     "gamma_heat_nan": ("ptm", {"calibrate": {"n_fock": 3, "gamma_heat": math.nan}},
                        "must be finite"),
     "mode_nbar_nan": ("ptm", {"calibrate": {"n_fock": 3, "mode_nbar": math.nan}},
@@ -363,9 +365,9 @@ BAD_INPUTS = {
     "circuit_negative_qubit": ("compile {src} {out} --pass rc", "qubits 2\nrot1q -1 0.5 0.0\n",
                                "outside [0, 2)"),
     "threshold_nan": ("compile {src} {out} --pass hidden --threshold nan", "qubits 2\n",
-                      "threshold must be in (0, pi]"),
+                      "threshold must be finite, got nan"),
     "threshold_5": ("compile {src} {out} --pass hidden --threshold 5", "qubits 2\n",
-                    "threshold must be in (0, pi]"),
+                    "threshold must be in (0, 3.141592653589793], got 5.0"),
     "seed_negative": ("compile {src} {out} --pass rc --seed -1", "qubits 2\n",
                       "--seed must be >= 0, got -1"),
     "omega_r_one_entry": ("ptm", {**FULL_SPEC, "omega_r": [1e5]},
@@ -385,7 +387,7 @@ BAD_INPUTS = {
     "sk1_steps_per_period_key": ("sweep", {"experiment": "sk1_viability", "steps_per_period": 150},
                                  "unknown key(s) ['steps_per_period']"),
     "sk1_gamma_negative": ("sweep", {"experiment": "sk1_viability", "gamma_list": [-1.0]},
-                           "bad sk1_viability config: gamma_heat must be >= 0, got -1.0"),
+                           "gamma_list entries must be >= 0, got -1.0"),
     "gamma_heat_1e12": ("ptm", {"calibrate": {"n_fock": 4, "gamma_heat": 1e12}},
                         "5.5e+08 series applications per mode round exceed the limit "
                         "60000"),
@@ -437,6 +439,16 @@ BAD_INPUTS = {
                 "eta must be finite, got nan"),
     "omega_r_inf": ("ptm", {**FULL_SPEC, "omega_r": [math.inf, 1e5]},
                     "omega_r must be finite, got inf"),
+    # (1 + eps_2q_amplitude)**2 past the float range is refused by its key, not the overflow
+    "eps_2q_amplitude_overflow": ("sweep", {"experiment": "repeated_2q",
+                                            "eps_2q_amplitude": 1e308},
+                                  "eps_2q_amplitude overflows eps_2q, got 1e+308"),
+    "theta_points_0": ("sweep", {"experiment": "phase_sweep", "theta_points": 0},
+                       "theta_points must be >= 1, got 0"),
+    "circuit_qubits_fraction": ("compile", "qubits 1.5\n",
+                                "line 1: qubits must be an integer, got '1.5'"),
+    "circuit_qubits_exponent": ("compile", "qubits 1e3\ncnot 0 1\n",
+                                "line 1: qubits must be an integer, got '1e3'"),
 }
 
 
@@ -466,6 +478,28 @@ def test_a_qubit_count_past_the_float_range_exits_2(tmp_path, capsys, pass_name)
     src.write_text(f"qubits {int(sys.float_info.max)}\ncnot 0 1\n")
     assert run(argv) == 0
     assert out.read_text().startswith(f"qubits {int(sys.float_info.max)}\n")
+
+
+def test_eps_2q_amplitude_is_refused_only_where_its_square_overflows():
+    # every value whose (1 + eps)**2 a float holds is accepted, as before
+    edge = 2.0 ** 512   # (1 + eps)**2 overflows from |1 + eps| = 2**512 on
+    for eps in (-5, math.nextafter(edge, 0), -math.nextafter(edge, 0)):
+        cli.build_sweep(cli.effective_config({"experiment": "contrast_4q",
+                                              "eps_2q_amplitude": eps}))
+    for eps in (edge, -edge, 1e308):
+        with pytest.raises(cli.ConfigError, match="eps_2q_amplitude overflows eps_2q, got "):
+            cli.build_sweep(cli.effective_config({"experiment": "contrast_4q",
+                                                  "eps_2q_amplitude": eps}))
+
+
+def test_a_seed_or_steps_per_period_past_the_float_range_is_accepted(tmp_path):
+    # both are exact ints that never become floats, so only their lower bound applies
+    src, spec = tmp_path / "in.circ", tmp_path / "spec.json"
+    src.write_text("qubits 2\ncnot 0 1\n")
+    spec.write_text(json.dumps(SMALL_SPEC))
+    huge = str(10 ** 400)
+    assert run(["compile", str(src), str(tmp_path / "o.circ"), "--pass", "rc", "--seed", huge]) == 0
+    assert run(["ptm", str(spec), str(tmp_path / "o.csv"), "--steps-per-period", huge]) == 0
 
 
 def test_calibrate_forwards_the_channel_fields():

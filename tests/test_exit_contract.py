@@ -6,6 +6,14 @@ small versions of the shipped configs and of two pulse specs, and one-token
 mutations of a circuit file with every gate kind, each run through
 ``cli.main`` in process.
 
+A mutated config or spec that exits 2 names, as a word of its error line,
+the nearest string key of the mutated place, when the drawn value is a bool,
+a string, nan, inf, an integer past the float range, -1 or 0.  The
+work-limit refusal is exempt.  So are 2.5, [], {} and null, whose refusal may
+come from a check of the whole document (``need at least one mode and one
+segment``), and 1e300, whose refusal may come from an overflow into a field
+that the calibration derives from the key.
+
 Valid but large integers are left out: ``theta_points`` or ``reps`` at
 10**7 is accepted and runs for longer than 20 s, since no cost budget
 refuses a sweep before it runs.
@@ -15,6 +23,7 @@ import contextlib
 import io
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -25,6 +34,9 @@ from hinv import cli, gates, lindblad
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 VALUES = [0, -1, 2.5, 1e300, 10**400, math.nan, math.inf, True, "x", [], {}, None]
+# drawn values whose refusal need not name the key (see above)
+UNNAMED = (2.5, 1e300, [], {}, None)
+WORK_LIMIT = "series applications per mode round exceed the limit"
 TOKENS = ["0", "-1", "2.5", "1e300", str(10**400), "nan", "inf", "true", "x", "[]", "{}", "null"]
 
 
@@ -96,17 +108,23 @@ def _holds(code, err) -> None:
 def mutated_docs(draw):
     cmd, doc = draw(st.sampled_from(DOCS))
     path = draw(st.sampled_from(list(_paths(doc))))
-    return cmd, _mutated(doc, path, draw(st.sampled_from(VALUES)))
+    value = draw(st.sampled_from(VALUES))
+    return cmd, _mutated(doc, path, value), path, value
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(mutated_docs())
 def test_every_mutated_config_keeps_the_exit_contract(case):
-    cmd, doc = case
+    cmd, doc, path, value = case
     with tempfile.TemporaryDirectory() as tmp:
         src, out = Path(tmp) / "input.json", str(Path(tmp) / "out.csv")
         src.write_text(json.dumps(doc))
-        _holds(*_run(["sweep", str(src), "-o", out] if cmd == "sweep" else ["ptm", str(src), out]))
+        argv = ["sweep", str(src), "-o", out] if cmd == "sweep" else ["ptm", str(src), out]
+        code, err = _run(argv)
+    _holds(code, err)
+    keys = [k for k in path if isinstance(k, str)]
+    if code == 2 and keys and value not in UNNAMED and WORK_LIMIT not in err[0]:
+        assert re.search(rf"\b{re.escape(keys[-1])}\b", err[0]), (path, value, err)
 
 
 @st.composite

@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -239,6 +240,53 @@ def test_realize_shares_one_result_across_qubits_and_the_default_noise_model():
 def test_amplitude_to_angle_mapping():
     assert gates.amplitude_to_angle_overrotation(0.0) == 0.0
     assert abs(gates.amplitude_to_angle_overrotation(0.0225) - 0.04550625) < 1e-15
+
+
+# --- the number rule of every input -------------------------------------------
+
+FLOAT_MAX_INT = int(sys.float_info.max)
+
+
+@pytest.mark.parametrize("value, rule, refusal", [
+    (True, {}, "a number"),                                  # a bool is never a number
+    (True, {"kind": int}, "an integer"),
+    (3, {}, None),                                           # an int passes for a float
+    (2.0, {"kind": int}, "an integer"),
+    ("1", {}, "a number"),
+    (10 ** 400, {}, "finite"),                               # an int past the float range
+    (10 ** 400, {"kind": int}, "finite"),
+    (FLOAT_MAX_INT + 1, {"kind": int}, "finite"),
+    (FLOAT_MAX_INT + 1, {}, "finite"),
+    (FLOAT_MAX_INT, {"kind": int}, None),
+    (FLOAT_MAX_INT, {}, None),
+    (10 ** 400, {"kind": int, "finite": False}, None),       # an exact int, such as a seed
+    (10 ** 400, {"finite": False}, "finite"),                # an int that must become a float
+    (math.nan, {}, "finite"),                                # nan: by finite and every range
+    (math.nan, {"finite": False, "lo": 0}, ">= 0"),
+    (math.nan, {"finite": False, "lo": 0, "strict": True}, "> 0"),
+    (math.nan, {"finite": False, "lo": 0, "hi": 1}, "in [0, 1]"),
+    (math.inf, {}, "finite"),                                # inf: only with finite=False
+    (-math.inf, {"lo": 0}, "finite"),
+    (math.inf, {"finite": False}, None),
+    (math.inf, {"finite": False, "lo": 0}, None),
+    (math.inf, {"finite": False, "lo": 0, "hi": 1e300}, "in [0, 1e+300]"),
+    (-math.inf, {"finite": False, "lo": 0}, ">= 0"),
+    (0, {"lo": 0}, None),                                    # lo is inclusive, unless strict
+    (-1e-300, {"lo": 0}, ">= 0"),
+    (0, {"lo": 0, "strict": True}, "> 0"),
+    (1e-300, {"lo": 0, "strict": True}, None),
+    (1, {"kind": int, "lo": 0, "hi": 1}, None),
+    (2, {"kind": int, "lo": 0, "hi": 1}, "in [0, 1]"),
+    (0.0, {"lo": 0, "hi": 1, "strict": True}, "in (0, 1]"),
+])
+def test_checked_number_is_the_one_number_rule(value, rule, refusal):
+    if refusal is None:
+        assert gates.checked_number("x", value, **rule) is value
+        return
+    with pytest.raises(gates.InputError) as exc:
+        gates.checked_number("x", value, **rule)
+    assert str(exc.value) == f"x must be {refusal}, got {value!r}"
+    assert isinstance(exc.value, ValueError)
 
 
 # --- angle canonicalization --------------------------------------------------
